@@ -17,8 +17,7 @@
 use kcm_cpu::MachineConfig;
 use kcm_prolog::Term;
 use kcm_system::{
-    error_class, open_session, Kcm, KcmError, ProgramSource, QueryJob, QueryOpts, SessionPool,
-    Solutions, Tier,
+    error_class, Kcm, KcmError, ProgramSource, QueryJob, QueryOpts, SessionPool, Solutions, Tier,
 };
 
 pub use kcm_system::{Engine, EngineOutcome, KcmEngine, NativeEngine};
@@ -315,15 +314,14 @@ impl Engine for PooledCursorEngine {
         if !opts.enumerate_all {
             return EngineOutcome::new(name, kcm.query(query, opts));
         }
-        let image = match kcm.shared_image() {
-            Some(image) => image,
-            None => return EngineOutcome::new(name, Err(KcmError::NoProgram)),
+        let Some(program) = kcm.program() else {
+            return EngineOutcome::new(name, Err(KcmError::NoProgram));
         };
-        let symbols = kcm.symbols().clone();
-        let config = kcm.config().clone();
         let pool = SessionPool::new(self.workers);
         let results = pool.map(&[(); POOL_REPLICAS], |_| {
-            open_session(&image, &symbols, &config, query, opts).and_then(drain_session)
+            program
+                .solutions(query, kcm.config(), opts)
+                .and_then(drain_session)
         });
         let prints: Vec<String> = results.iter().map(replica_fingerprint).collect();
         if prints.iter().any(|p| p != &prints[0]) {

@@ -10,12 +10,14 @@
 //!   carries its own [`FrameBuf`] decode state and write buffer, so a
 //!   client dribbling a frame one byte per 100 ms costs a buffer slot,
 //!   not a thread — 10k idle connections cost ~0 threads;
-//! * a fixed set of **worker threads** executes queries as isolated pool
-//!   sessions ([`kcm_system::pool::run_session`]) pulled from one bounded
-//!   queue; the compiled image travels to the worker as an `Arc`, exactly
-//!   as [`kcm_system::SessionPool`] ships it. Completions come back over
-//!   a channel plus a wake pipe byte; the loop also drains completions on
-//!   every tick, so a lost wake delays a reply by at most one tick;
+//! * a fixed set of **worker threads** executes queries as isolated
+//!   sessions ([`kcm_system::Program::query`]) pulled from one bounded
+//!   queue; the compiled [`kcm_system::Program`] travels to the worker as
+//!   a clone of its `Arc` handles, exactly as [`kcm_system::SessionPool`]
+//!   shares it, and the worker runs it under the server's machine
+//!   configuration. Completions come back over a channel plus a wake
+//!   pipe byte; the loop also drains completions on every tick, so a lost
+//!   wake delays a reply by at most one tick;
 //! * the queue is a `sync_channel(queue_depth)`: when it is full the
 //!   loop answers `BUSY` immediately instead of queueing without bound —
 //!   backpressure is explicit and visible to clients. While a
@@ -30,7 +32,7 @@
 //!   bounded batch and the completion carries it back; while the pull is
 //!   in flight the cursor table holds `None`, and the owning connection
 //!   is `busy`, so no second operation can touch the session
-//!   concurrently. A cursor pins its tenant's `Arc<CodeImage>`: a
+//!   concurrently. A cursor pins its tenant's program: a
 //!   republish under an open cursor compiles a new image while the
 //!   cursor keeps streaming the one it opened against. Cursors die four
 //!   ways — `CLOSE`, exhaustion (`done=true` auto-releases), a slice
@@ -51,13 +53,10 @@
 
 use crate::poll::{Event, Interest, Poller};
 use crate::protocol::{encode_frame, render_batch, render_outcome, FrameBuf, Reply, Request};
-use kcm_arch::SymbolTable;
-use kcm_compiler::CodeImage;
-use kcm_system::pool::run_session;
 use kcm_system::registry::{ProgramRegistry, Published, TenantStats};
 use kcm_system::{
-    error_class, open_session, Kcm, KcmError, MachineConfig, Outcome, ProgramSource, QueryJob,
-    QueryOpts, RunStats, Solutions, Tier,
+    error_class, KcmError, MachineConfig, Outcome, Program, ProgramSource, QueryJob, QueryOpts,
+    RunStats, Solutions, Tier,
 };
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -229,25 +228,14 @@ impl ServeMetrics {
 /// mirrors its accounting into the tenant's stats, and the in-flight
 /// slot claimed at dispatch is released against it.
 enum WorkItem {
-    /// A one-shot query (first solution or enumerate-all).
+    /// A one-shot query (first solution or enumerate-all), or with
+    /// `cursor` set, a query compiled and suspended as that cursor.
     Query {
         /// Connection token (index + generation) the reply belongs to.
         token: u64,
-        image: Arc<CodeImage>,
-        symbols: SymbolTable,
-        config: MachineConfig,
+        program: Program,
         job: QueryJob,
-        tenant: Option<Arc<Published>>,
-    },
-    /// Compile a query and suspend it as cursor `cursor_id`.
-    CursorOpen {
-        token: u64,
-        cursor_id: u64,
-        image: Arc<CodeImage>,
-        symbols: SymbolTable,
-        config: MachineConfig,
-        query: String,
-        opts: QueryOpts,
+        cursor: Option<u64>,
         tenant: Option<Arc<Published>>,
     },
     /// Pull up to `count` answers from a suspended session. The session
@@ -406,8 +394,8 @@ struct Conn {
     /// Pending reply bytes not yet accepted by the socket.
     wbuf: Vec<u8>,
     wpos: usize,
-    /// This connection's session-mode program state.
-    kcm: Kcm,
+    /// This connection's session-mode program (`CONSULT`), if any.
+    program: Option<Program>,
     /// A request is with the workers; reads are paused and no further
     /// frame is processed until its completion, preserving per-connection
     /// FIFO order.
@@ -527,7 +515,7 @@ impl EventLoop {
                         frames: FrameBuf::new(),
                         wbuf: Vec::new(),
                         wpos: 0,
-                        kcm: Kcm::with_config(self.shared.cfg.machine.clone()),
+                        program: None,
                         busy: false,
                         read_closed: false,
                         interest: Interest::READ,
@@ -721,13 +709,12 @@ impl EventLoop {
         };
         let reply = match request {
             Request::Consult { source } => {
-                // CONSULT replaces the connection's program (Kcm::consult
+                // CONSULT replaces the connection's program (Kcm::load
                 // *adds* clauses; a service client re-sending its program
                 // wants idempotence, not accumulation).
-                let mut fresh = Kcm::with_config(self.shared.cfg.machine.clone());
-                match fresh.load(source.as_str()) {
-                    Ok(()) => {
-                        conn.kcm = fresh;
+                match Program::load(source.as_str()) {
+                    Ok(program) => {
+                        conn.program = Some(program);
                         self.shared.metrics.lock().expect("metrics").consults += 1;
                         Reply::Ok {
                             body: String::new(),
@@ -799,12 +786,14 @@ impl EventLoop {
                 step_budget,
                 cursor,
             } => {
-                let outcome = if cursor {
-                    self.dispatch_cursor_open(conn, token, tenant, query, step_budget)
-                } else {
-                    self.dispatch_query(conn, token, tenant, query, enumerate_all, step_budget)
+                let opts = QueryOpts {
+                    // A cursor session enumerates by construction.
+                    enumerate_all: enumerate_all || cursor,
+                    step_budget,
+                    trace: 0,
+                    tier: self.shared.cfg.tier,
                 };
-                match outcome {
+                match self.dispatch_query(conn, token, tenant, query, opts, cursor) {
                     None => return true, // accepted: the reply comes from a worker
                     Some(reply) => reply,
                 }
@@ -866,20 +855,16 @@ impl EventLoop {
                         .or(t.step_budget)
                         .or(self.shared.cfg.default_step_budget);
                     Ok(Resolved {
-                        image: Arc::clone(&t.image),
-                        symbols: t.symbols.clone(),
-                        config: self.shared.cfg.machine.clone(),
+                        program: t.program.clone(),
                         tenant: Some(t),
                         budget,
                     })
                 }
                 Err(e) => Err(error_reply(&e, &self.shared, None)),
             },
-            None => match conn.kcm.shared_image() {
-                Some(image) => Ok(Resolved {
-                    image,
-                    symbols: conn.kcm.symbols().clone(),
-                    config: conn.kcm.config().clone(),
+            None => match &conn.program {
+                Some(program) => Ok(Resolved {
+                    program: program.clone(),
                     tenant: None,
                     budget: step_budget.or(self.shared.cfg.default_step_budget),
                 }),
@@ -921,7 +906,7 @@ impl EventLoop {
                     TrySendError::Disconnected(item) => (false, item),
                 };
                 let tenant = match item {
-                    WorkItem::Query { tenant, .. } | WorkItem::CursorOpen { tenant, .. } => tenant,
+                    WorkItem::Query { tenant, .. } => tenant,
                     WorkItem::CursorNext {
                         cursor_id,
                         session,
@@ -954,102 +939,56 @@ impl EventLoop {
         }
     }
 
-    /// Resolves and enqueues a query. `None` means the request is in
-    /// flight (the worker's completion will carry the reply); `Some` is
-    /// an immediate reply (BUSY or an error).
+    /// Resolves and enqueues a query — with `cursor`, a cursor open: an
+    /// id is allocated and a sessionless entry parked until the worker
+    /// returns the session. `opts.step_budget` is the request's own
+    /// budget. `None` means the request is in flight (the worker's
+    /// completion will carry the reply); `Some` is an immediate reply
+    /// (BUSY or an error).
     fn dispatch_query(
         &mut self,
         conn: &mut Conn,
         token: u64,
         tenant: Option<String>,
         query: String,
-        enumerate_all: bool,
-        step_budget: Option<u64>,
+        mut opts: QueryOpts,
+        cursor: bool,
     ) -> Option<Reply> {
-        let resolved = match self.resolve_program(conn, tenant.as_deref(), step_budget) {
-            Ok(r) => r,
-            Err(reply) => return Some(reply),
-        };
-        if !self.claim_tenant(&resolved.tenant) {
-            return Some(Reply::Busy);
-        }
-        let opts = QueryOpts {
-            enumerate_all,
-            step_budget: resolved.budget,
-            trace: 0,
-            tier: self.shared.cfg.tier,
-        };
-        let item = WorkItem::Query {
-            token,
-            image: resolved.image,
-            symbols: resolved.symbols,
-            config: resolved.config,
-            job: QueryJob::with_opts(query, opts),
-            tenant: resolved.tenant.clone(),
-        };
-        let reply = self.enqueue(conn, item);
-        if reply.is_none() {
-            self.shared.metrics.lock().expect("metrics").queries += 1;
-            if let Some(t) = &resolved.tenant {
-                t.stats.queries.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        reply
-    }
-
-    /// Opens a cursor: allocates an id, parks a sessionless entry, and
-    /// ships the compilation to a worker. `None` means in flight.
-    fn dispatch_cursor_open(
-        &mut self,
-        conn: &mut Conn,
-        token: u64,
-        tenant: Option<String>,
-        query: String,
-        step_budget: Option<u64>,
-    ) -> Option<Reply> {
-        let open_here = self.cursors.values().filter(|c| c.owner == token).count();
-        if open_here >= self.shared.cfg.cursors_per_conn {
+        let open_here = self.cursors.values().filter(|c| c.owner == token);
+        if cursor && open_here.count() >= self.shared.cfg.cursors_per_conn {
             self.shared.metrics.lock().expect("metrics").busy += 1;
             return Some(Reply::Busy);
         }
-        let resolved = match self.resolve_program(conn, tenant.as_deref(), step_budget) {
+        let resolved = match self.resolve_program(conn, tenant.as_deref(), opts.step_budget) {
             Ok(r) => r,
             Err(reply) => return Some(reply),
         };
         if !self.claim_tenant(&resolved.tenant) {
             return Some(Reply::Busy);
         }
-        let opts = QueryOpts {
-            // A cursor session enumerates by construction; the flag only
-            // matters if the session layer ever consults it.
-            enumerate_all: true,
-            step_budget: resolved.budget,
-            trace: 0,
-            tier: self.shared.cfg.tier,
-        };
-        let cursor_id = self.next_cursor_id;
-        self.next_cursor_id += 1;
-        let item = WorkItem::CursorOpen {
+        opts.step_budget = resolved.budget;
+        let cursor = cursor.then(|| {
+            self.next_cursor_id += 1;
+            self.next_cursor_id - 1
+        });
+        let item = WorkItem::Query {
             token,
-            cursor_id,
-            image: resolved.image,
-            symbols: resolved.symbols,
-            config: resolved.config,
-            query,
-            opts,
+            program: resolved.program,
+            job: QueryJob::with_opts(query, opts),
+            cursor,
             tenant: resolved.tenant.clone(),
         };
         let reply = self.enqueue(conn, item);
         if reply.is_none() {
-            self.cursors.insert(
-                cursor_id,
-                Cursor {
+            if let Some(id) = cursor {
+                let entry = Cursor {
                     owner: token,
                     session: None,
                     tenant: resolved.tenant.clone(),
                     last_used: Instant::now(),
-                },
-            );
+                };
+                self.cursors.insert(id, entry);
+            }
             self.shared.metrics.lock().expect("metrics").queries += 1;
             if let Some(t) = &resolved.tenant {
                 t.stats.queries.fetch_add(1, Ordering::Relaxed);
@@ -1185,9 +1124,7 @@ fn flush(conn: &mut Conn) -> std::io::Result<()> {
 
 /// The program resolution a dispatch works from.
 struct Resolved {
-    image: Arc<CodeImage>,
-    symbols: SymbolTable,
-    config: MachineConfig,
+    program: Program,
     tenant: Option<Arc<Published>>,
     budget: Option<u64>,
 }
@@ -1224,62 +1161,40 @@ fn worker_loop(
         let done = match item {
             WorkItem::Query {
                 token,
-                image,
-                symbols,
-                config,
+                program,
                 job,
+                cursor,
                 tenant,
             } => {
-                let outcome = run_session(&image, &symbols, &config, &job);
                 let tstats = tenant.as_ref().map(|t| t.stats.as_ref());
-                let reply = match outcome {
-                    Ok(outcome) => {
-                        account_served(shared, tstats, &outcome);
-                        Reply::Ok {
-                            body: render_outcome(&outcome),
+                let machine = &shared.cfg.machine;
+                let (reply, cursor) = match cursor {
+                    None => match program.query(&job.query, machine, &job.opts) {
+                        Ok(outcome) => {
+                            account_served(shared, tstats, &outcome);
+                            let body = render_outcome(&outcome);
+                            (Reply::Ok { body }, None)
                         }
+                        Err(e) => (error_reply(&e, shared, tstats), None),
+                    },
+                    Some(id) => {
+                        let (reply, session) =
+                            match program.solutions(&job.query, machine, &job.opts) {
+                                Ok(session) => {
+                                    shared.metrics.lock().expect("metrics").cursors_opened += 1;
+                                    let body = format!("cursor={id}\n");
+                                    (Reply::Ok { body }, Some(Box::new(session)))
+                                }
+                                Err(e) => (error_reply(&e, shared, tstats), None),
+                            };
+                        (reply, Some(CursorReturn { id, session }))
                     }
-                    Err(e) => error_reply(&e, shared, tstats),
                 };
                 release_tenant(&tenant);
                 Completion {
                     token,
                     payload: reply.encode(),
-                    cursor: None,
-                }
-            }
-            WorkItem::CursorOpen {
-                token,
-                cursor_id,
-                image,
-                symbols,
-                config,
-                query,
-                opts,
-                tenant,
-            } => {
-                let tstats = tenant.as_ref().map(|t| t.stats.as_ref());
-                let (reply, session) = match open_session(&image, &symbols, &config, &query, &opts)
-                {
-                    Ok(session) => {
-                        shared.metrics.lock().expect("metrics").cursors_opened += 1;
-                        (
-                            Reply::Ok {
-                                body: format!("cursor={cursor_id}\n"),
-                            },
-                            Some(Box::new(session)),
-                        )
-                    }
-                    Err(e) => (error_reply(&e, shared, tstats), None),
-                };
-                release_tenant(&tenant);
-                Completion {
-                    token,
-                    payload: reply.encode(),
-                    cursor: Some(CursorReturn {
-                        id: cursor_id,
-                        session,
-                    }),
+                    cursor,
                 }
             }
             WorkItem::CursorNext {

@@ -188,6 +188,30 @@ fn damaged_artifacts_get_classed_errors_not_disconnects() {
         other => panic!("answered {other:?}"),
     }
 
+    // A tenant published from snapshot bytes holds no clause source, so
+    // a rule ASSERT (which needs a predicate recompile) is a classed
+    // `update` refusal that leaves the tenant serving at its version.
+    body_of(
+        client
+            .publish_snapshot("restored", &good, None)
+            .expect("publish snapshot"),
+    );
+    match client
+        .assertz("restored", "lookup2(K, V) :- fact(K, V)")
+        .expect("request")
+    {
+        Reply::Err { class, .. } => assert_eq!(class, "update"),
+        other => panic!("answered {other:?}"),
+    }
+    let stats = client.stats().expect("stats");
+    assert!(stats.contains("tenant.restored.version=1"), "{stats}");
+    let got = body_of(
+        client
+            .query_tenant_all("restored", "lookup(2, V)")
+            .expect("query"),
+    );
+    assert!(got.contains("V=b"), "{got}");
+
     // Non-UTF-8 bytes in a *text* command are a protocol error on the
     // wire — the 8-bit-clean frame layer carries them to the parser,
     // which rejects them without dropping the connection.

@@ -8,6 +8,18 @@ use kcm_serve::workload::{direct_body, standard};
 use kcm_serve::{Client, Reply, ServeConfig, Server};
 use kcm_system::Tier;
 use std::net::SocketAddr;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
+
+/// Tests in this binary share one process, so the thread-count test
+/// would see other tests' servers start and stop. Every other test holds
+/// this lock shared; the thread-count test holds it exclusively.
+static PROCESS_THREADS: RwLock<()> = RwLock::new(());
+
+fn shared_threads() -> RwLockReadGuard<'static, ()> {
+    PROCESS_THREADS
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+}
 
 fn spawn_server(
     cfg: ServeConfig,
@@ -29,6 +41,7 @@ fn body_of(reply: Reply) -> String {
 
 #[test]
 fn published_programs_serve_every_connection_byte_identically() {
+    let _threads = shared_threads();
     // One connection publishes the suite workload; N other connections
     // query by name concurrently. Every body must match the direct
     // in-process rendering — the same oracle as session mode.
@@ -103,6 +116,7 @@ fn published_programs_serve_every_connection_byte_identically() {
 
 #[test]
 fn republish_swaps_the_program_without_disturbing_other_tenants() {
+    let _threads = shared_threads();
     let (addr, server) = spawn_server(ServeConfig::default());
     let mut a = Client::connect(addr).expect("connect");
     let mut b = Client::connect(addr).expect("connect");
@@ -133,6 +147,7 @@ fn republish_swaps_the_program_without_disturbing_other_tenants() {
 
 #[test]
 fn full_registry_evicts_the_least_recently_used_tenant() {
+    let _threads = shared_threads();
     let (addr, server) = spawn_server(ServeConfig {
         max_programs: 2,
         ..ServeConfig::default()
@@ -161,6 +176,7 @@ fn full_registry_evicts_the_least_recently_used_tenant() {
 
 #[test]
 fn tenant_step_budget_caps_queries_and_request_budget_overrides() {
+    let _threads = shared_threads();
     let (addr, server) = spawn_server(ServeConfig::default());
     let mut client = Client::connect(addr).expect("connect");
     assert!(client
@@ -197,6 +213,7 @@ fn tenant_step_budget_caps_queries_and_request_budget_overrides() {
 
 #[test]
 fn tenant_and_session_modes_coexist_on_one_connection() {
+    let _threads = shared_threads();
     // A connection can consult its own program and also query tenants;
     // neither mode disturbs the other's state.
     let (addr, server) = spawn_server(ServeConfig::default());
@@ -226,6 +243,7 @@ fn tenant_and_session_modes_coexist_on_one_connection() {
 
 #[test]
 fn unknown_tenant_is_a_classed_error_not_a_dropped_connection() {
+    let _threads = shared_threads();
     let (addr, server) = spawn_server(ServeConfig::default());
     let mut client = Client::connect(addr).expect("connect");
     match client.query_tenant("ghost", "p(X)").expect("query") {
@@ -265,6 +283,9 @@ fn idle_connections_cost_buffers_not_threads() {
     // thread count is set by its worker pool, not its connection count.
     // Server and clients share this process, so /proc/self/status counts
     // both sides — client connections add zero threads too.
+    let _threads = PROCESS_THREADS
+        .write()
+        .unwrap_or_else(PoisonError::into_inner);
     let (addr, server) = spawn_server(ServeConfig {
         workers: 2,
         ..ServeConfig::default()

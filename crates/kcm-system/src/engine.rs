@@ -11,7 +11,7 @@
 //! benchmark runner (kcm-suite) and the query service (kcm-serve) all
 //! drive engines through this trait.
 
-use crate::{Kcm, KcmError, MachineConfig, Outcome, ProgramSource, QueryOpts, Tier};
+use crate::{KcmError, MachineConfig, Outcome, Program, ProgramSource, QueryOpts, Tier};
 
 /// A Prolog engine: consumes a program artifact + query, produces an
 /// [`EngineOutcome`].
@@ -103,8 +103,8 @@ pub fn error_class(e: &KcmError) -> &'static str {
     }
 }
 
-/// The KCM simulator as an [`Engine`]: consults the source into a fresh
-/// [`Kcm`] per case and runs the query.
+/// The KCM simulator as an [`Engine`]: loads the artifact into a fresh
+/// [`Program`] per case and runs the query.
 #[derive(Debug, Clone)]
 pub struct KcmEngine {
     label: String,
@@ -149,8 +149,7 @@ impl Engine for KcmEngine {
     }
 
     fn run_case(&self, source: ProgramSource<'_>, query: &str, opts: &QueryOpts) -> EngineOutcome {
-        let mut kcm = Kcm::with_config(self.config.clone());
-        let result = kcm.load(source).and_then(|()| kcm.query(query, opts));
+        let result = Program::load(source).and_then(|p| p.query(query, &self.config, opts));
         EngineOutcome::new(self.label.clone(), result)
     }
 }
@@ -200,8 +199,7 @@ impl Engine for NativeEngine {
             tier: Tier::Native,
             ..opts.clone()
         };
-        let mut kcm = Kcm::with_config(self.config.clone());
-        let result = kcm.load(source).and_then(|()| kcm.query(query, &opts));
+        let result = Program::load(source).and_then(|p| p.query(query, &self.config, &opts));
         EngineOutcome::new(self.label.clone(), result)
     }
 }

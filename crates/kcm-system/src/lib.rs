@@ -76,6 +76,7 @@ pub mod answer;
 pub mod engine;
 pub mod pool;
 pub mod prelude;
+pub mod program;
 pub mod registry;
 pub mod report;
 pub mod session;
@@ -89,14 +90,15 @@ pub use kcm_cpu::{
     TraceEvent, Tracer,
 };
 pub use pool::{QueryJob, SessionPool, SessionResult};
+pub use program::Program;
 pub use registry::{ProgramRegistry, PublishReceipt, Published, TenantSnapshot, TenantStats};
 pub use session::{open_session, SolutionStep, Solutions};
 
 use kcm_arch::snapshot::SnapshotError;
-use kcm_arch::{PredId, SymbolTable, Word};
-use kcm_compiler::{CodeImage, CompileError, Linker};
-use kcm_prolog::{ParseError, Term};
-use std::sync::Arc;
+use kcm_arch::SymbolTable;
+use kcm_compiler::{CodeImage, CompileError};
+use kcm_prolog::ParseError;
+use std::sync::OnceLock;
 
 /// An error from the KCM system: reader, compiler or machine.
 #[derive(Debug)]
@@ -219,9 +221,7 @@ pub enum Tier {
 /// pooled session).
 ///
 /// The [`Default`] is a plain first-solution query on the cycle-accurate
-/// tier with no deadline and no tracing — `kcm.query(q,
-/// &Default::default())` behaves exactly like the old `kcm.run(q,
-/// false)`.
+/// tier with no deadline and no tracing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueryOpts {
     /// Backtrack through every solution instead of stopping at the first.
@@ -312,21 +312,15 @@ impl From<SnapshotError> for KcmError {
 /// The KCM Prolog system: workstation-side tool chain plus the back-end
 /// machine.
 ///
-/// `Kcm` accumulates consulted clauses, recompiles and statically links
-/// them (the paper's benchmark configuration, §4), and runs queries on a
-/// fresh machine each time, so successive measurements are independent —
-/// the benchmarking discipline of §4.2.
+/// `Kcm` is one [`Program`] plus the [`MachineConfig`] its queries run
+/// under. It accumulates consulted clauses, recompiles and statically
+/// links them (the paper's benchmark configuration, §4), and runs queries
+/// on a fresh machine each time, so successive measurements are
+/// independent — the benchmarking discipline of §4.2.
 #[derive(Debug)]
 pub struct Kcm {
-    symbols: SymbolTable,
-    clauses: Vec<Term>,
-    /// The linked program image, behind an `Arc` so parallel sessions
-    /// ([`SessionPool`]) share one compiled program across threads.
-    image: Option<Arc<CodeImage>>,
-    /// Whether the image was restored from a binary snapshot: no clause
-    /// source is held, so updates that need a recompile are refused with
-    /// a classed [`KcmError::Update`].
-    from_snapshot: bool,
+    /// The loaded program; `None` before the first load.
+    program: Option<Program>,
     config: MachineConfig,
 }
 
@@ -346,10 +340,7 @@ impl Kcm {
     /// experiments).
     pub fn with_config(config: MachineConfig) -> Kcm {
         Kcm {
-            symbols: SymbolTable::new(),
-            clauses: Vec::new(),
-            image: None,
-            from_snapshot: false,
+            program: None,
             config,
         }
     }
@@ -357,6 +348,16 @@ impl Kcm {
     /// The machine configuration in use.
     pub fn config(&self) -> &MachineConfig {
         &self.config
+    }
+
+    /// The loaded program, if any: what a [`SessionPool`], a cursor or a
+    /// server shares by cloning.
+    pub fn program(&self) -> Option<&Program> {
+        self.program.as_ref()
+    }
+
+    fn loaded(&self) -> Result<&Program, KcmError> {
+        self.program.as_ref().ok_or(KcmError::NoProgram)
     }
 
     /// Consults the library prelude: `member/2`, `append/3`, `between/3`,
@@ -390,45 +391,12 @@ impl Kcm {
     /// damaged or version-skewed snapshot; the previous program is kept
     /// intact on error.
     pub fn load<'a>(&mut self, source: impl Into<ProgramSource<'a>>) -> Result<(), KcmError> {
-        match source.into() {
-            ProgramSource::Source(src) => {
-                let new_clauses = kcm_prolog::read_program(src)?;
-                if self.from_snapshot {
-                    return Err(KcmError::Update(
-                        "program was restored from a snapshot; no clause source is held to \
-                         extend — load the snapshot into a fresh system or reload from source"
-                            .to_owned(),
-                    ));
-                }
-                let mut all = self.clauses.clone();
-                all.extend(new_clauses);
-                let mut symbols = self.symbols.clone();
-                let image = kcm_compiler::compile_program(&all, &mut symbols)?;
-                self.clauses = all;
-                self.symbols = symbols;
-                self.image = Some(Arc::new(image));
-                Ok(())
-            }
-            ProgramSource::Snapshot(bytes) => {
-                let (image, symbols) = kcm_arch::snapshot::load(bytes)?;
-                self.clauses.clear();
-                self.symbols = symbols;
-                self.image = Some(image);
-                self.from_snapshot = true;
-                Ok(())
-            }
-        }
-    }
-
-    /// Consults Prolog source text.
-    ///
-    /// # Errors
-    ///
-    /// Returns parse or compile errors; the previous program is kept
-    /// intact on error.
-    #[deprecated(since = "0.1.0", note = "use `Kcm::load` with a `ProgramSource`")]
-    pub fn consult(&mut self, src: &str) -> Result<(), KcmError> {
-        self.load(ProgramSource::Source(src))
+        let program = match (source.into(), &self.program) {
+            (ProgramSource::Source(src), Some(held)) => held.extend(src)?,
+            (source, _) => Program::load(source)?,
+        };
+        self.program = Some(program);
+        Ok(())
     }
 
     /// Serializes the compiled program — code words, symbol table, hash
@@ -441,8 +409,7 @@ impl Kcm {
     ///
     /// Returns [`KcmError::NoProgram`] before the first load.
     pub fn snapshot(&self) -> Result<Vec<u8>, KcmError> {
-        let image = self.image.as_deref().ok_or(KcmError::NoProgram)?;
-        Ok(kcm_arch::snapshot::save(image, &self.symbols))
+        Ok(self.loaded()?.snapshot())
     }
 
     /// Adds one clause at the end of its predicate, visible to the next
@@ -465,74 +432,15 @@ impl Kcm {
     /// snapshot (no clause source to recompile from).
     pub fn assertz(&mut self, clause: &str) -> Result<(), KcmError> {
         let term = kcm_prolog::read_term(clause)?;
-        let pred = clause_pred(&term)?;
-        let Some(image) = self.image.as_ref() else {
-            // Nothing loaded yet: identical to consulting the one clause.
-            let all = vec![term];
-            let mut symbols = self.symbols.clone();
-            let image = kcm_compiler::compile_program(&all, &mut symbols)?;
-            self.clauses = all;
-            self.symbols = symbols;
-            self.image = Some(Arc::new(image));
-            return Ok(());
-        };
-
-        // Fast path: an atomic-argument fact on a predicate that already
-        // has an entry — patch the compiled dispatch in place.
-        let mut symbols = self.symbols.clone();
-        let fast =
-            match kcm_compiler::compile_fact_instrs(&pred, &term, &mut symbols, image.options())? {
-                Some(code) if pred.arity >= 1 => image
-                    .entry(&pred.name, pred.arity)
-                    .map(|entry| (code, entry)),
-                _ => None,
-            };
-        if let Some((code, entry)) = fast {
-            let (key1, key2) = fact_keys(&term, &mut symbols);
-            let image_mut = Arc::make_mut(self.image.as_mut().expect("image present"));
-            match image_mut.assert_fact_clause(entry, key1, key2, &code) {
-                Ok(()) => {
-                    self.symbols = symbols;
-                    if !self.from_snapshot {
-                        self.clauses.push(term);
-                    }
-                    return Ok(());
-                }
-                Err(why) => {
-                    if self.from_snapshot {
-                        return Err(KcmError::Update(format!(
-                            "cannot patch {pred} in place ({why}) and the program was \
-                             restored from a snapshot, so no clause source is held to \
-                             recompile it"
-                        )));
-                    }
-                    // Fall through to the per-predicate recompile below.
-                }
+        match &mut self.program {
+            Some(program) => program.assertz_in_place(term),
+            None => {
+                // Nothing loaded yet: identical to consulting the one clause.
+                program::clause_pred(&term)?;
+                self.program = Some(Program::compile(vec![term], SymbolTable::new())?);
+                Ok(())
             }
-        } else if self.from_snapshot {
-            return Err(KcmError::Update(format!(
-                "only ground atomic-argument facts on existing predicates can be asserted \
-                 into a snapshot-restored program; {pred} needs a recompile but no clause \
-                 source is held"
-            )));
         }
-
-        // Fallback: recompile just this predicate from source clauses and
-        // relink it into the live image.
-        let mut all = self.clauses.clone();
-        all.push(term);
-        let pred_clauses: Vec<Term> = all
-            .iter()
-            .filter(|t| clause_pred(t).ok().as_ref() == Some(&pred))
-            .cloned()
-            .collect();
-        let mut symbols = self.symbols.clone();
-        let mut image = (**self.image.as_ref().expect("image present")).clone();
-        Linker::relink_predicate(&mut image, &pred, &pred_clauses, &mut symbols)?;
-        self.clauses = all;
-        self.symbols = symbols;
-        self.image = Some(Arc::new(image));
-        Ok(())
     }
 
     /// Removes the first clause equal to `clause` (structural equality,
@@ -550,95 +458,33 @@ impl Kcm {
     /// path does not apply and the program was restored from a snapshot.
     pub fn retract(&mut self, clause: &str) -> Result<bool, KcmError> {
         let term = kcm_prolog::read_term(clause)?;
-        let pred = clause_pred(&term)?;
-        let Some(image) = self.image.as_ref() else {
-            return Err(KcmError::NoProgram);
-        };
-        if image.entry(&pred.name, pred.arity).is_none() {
-            return Ok(false);
-        }
-
-        // Fast path: compile the fact's clause code and tombstone the
-        // first chain slot whose code matches it exactly.
-        let mut symbols = self.symbols.clone();
-        let fast =
-            match kcm_compiler::compile_fact_instrs(&pred, &term, &mut symbols, image.options())? {
-                Some(code) if pred.arity >= 1 => Some(code),
-                _ => None,
-            };
-        if let Some(code) = fast {
-            let entry = image.entry(&pred.name, pred.arity).expect("entry checked");
-            let image_mut = Arc::make_mut(self.image.as_mut().expect("image present"));
-            match image_mut.retract_fact_clause(entry, &code) {
-                Ok(removed) => {
-                    // A match can only use already-interned symbols, so the
-                    // probe clone of the table is safely dropped either way.
-                    if removed && !self.from_snapshot {
-                        if let Some(at) = self.clauses.iter().position(|t| *t == term) {
-                            self.clauses.remove(at);
-                        }
-                    }
-                    return Ok(removed);
-                }
-                Err(why) => {
-                    if self.from_snapshot {
-                        return Err(KcmError::Update(format!(
-                            "cannot tombstone a clause of {pred} in place ({why}) and the \
-                             program was restored from a snapshot, so no clause source is \
-                             held to recompile it"
-                        )));
-                    }
-                }
+        match &mut self.program {
+            Some(program) => program.retract_in_place(&term),
+            None => {
+                program::clause_pred(&term)?;
+                Err(KcmError::NoProgram)
             }
-        } else if self.from_snapshot {
-            return Err(KcmError::Update(format!(
-                "only ground atomic-argument facts can be retracted from a \
-                 snapshot-restored program; {pred} needs a recompile but no clause source \
-                 is held"
-            )));
         }
-
-        // Fallback: drop the clause from source and recompile the predicate.
-        let Some(at) = self.clauses.iter().position(|t| *t == term) else {
-            return Ok(false);
-        };
-        let mut all = self.clauses.clone();
-        all.remove(at);
-        let pred_clauses: Vec<Term> = all
-            .iter()
-            .filter(|t| clause_pred(t).ok().as_ref() == Some(&pred))
-            .cloned()
-            .collect();
-        let mut symbols = self.symbols.clone();
-        let mut image = (**self.image.as_ref().expect("image present")).clone();
-        Linker::relink_predicate(&mut image, &pred, &pred_clauses, &mut symbols)?;
-        self.clauses = all;
-        self.symbols = symbols;
-        self.image = Some(Arc::new(image));
-        Ok(true)
     }
 
     /// The linked code image, if a program has been consulted.
     pub fn image(&self) -> Option<&CodeImage> {
-        self.image.as_deref()
+        self.program.as_ref().map(|p| &*p.image)
     }
 
-    /// The linked code image behind its sharing handle: what a
-    /// [`SessionPool`] distributes to its worker threads.
-    pub fn shared_image(&self) -> Option<Arc<CodeImage>> {
-        self.image.clone()
-    }
-
-    /// The symbol table.
+    /// The symbol table (empty before the first load).
     pub fn symbols(&self) -> &SymbolTable {
-        &self.symbols
+        static EMPTY: OnceLock<SymbolTable> = OnceLock::new();
+        match &self.program {
+            Some(program) => &program.symbols,
+            None => EMPTY.get_or_init(SymbolTable::new),
+        }
     }
 
     /// Link warnings from the last compilation (calls to undefined
     /// predicates).
     pub fn warnings(&self) -> Vec<String> {
-        self.image
-            .as_ref()
+        self.image()
             .map(|i| i.warnings().to_vec())
             .unwrap_or_default()
     }
@@ -649,8 +495,8 @@ impl Kcm {
     ///
     /// Returns [`KcmError::NoProgram`] before the first consult.
     pub fn disassemble(&self) -> Result<String, KcmError> {
-        let image = self.image.as_ref().ok_or(KcmError::NoProgram)?;
-        Ok(image.disassemble(&self.symbols))
+        let program = self.loaded()?;
+        Ok(program.image.disassemble(&program.symbols))
     }
 
     /// Runs a query on a fresh machine, with [`QueryOpts`] controlling
@@ -663,22 +509,7 @@ impl Kcm {
     /// A query that simply fails is a successful `Ok` with
     /// `success == false`.
     pub fn query(&mut self, query: &str, opts: &QueryOpts) -> Result<Outcome, KcmError> {
-        let image = self.image.as_deref().ok_or(KcmError::NoProgram)?;
-        let goal = kcm_prolog::read_term(query)?;
-        let mut symbols = self.symbols.clone();
-        let (qimage, vars) = kcm_compiler::compile_query(image, &goal, &mut symbols)?;
-        let mut config = self.config.clone();
-        opts.apply(&mut config);
-        match opts.tier {
-            Tier::Cycle => {
-                let mut machine = Machine::new(qimage, symbols, config);
-                Ok(machine.run_query(&vars, opts.enumerate_all)?)
-            }
-            Tier::Native => {
-                let mut machine = kcm_native::native_machine(qimage, symbols, config);
-                Ok(machine.run_query(&vars, opts.enumerate_all)?)
-            }
-        }
+        self.loaded()?.query(query, &self.config, opts)
     }
 
     /// Opens a suspendable session for `query`: a pull-based iterator
@@ -696,23 +527,7 @@ impl Kcm {
     /// Returns [`KcmError::NoProgram`] before the first consult, or query
     /// parse/compile errors.
     pub fn solutions(&self, query: &str, opts: &QueryOpts) -> Result<Solutions, KcmError> {
-        let image = self.image.clone().ok_or(KcmError::NoProgram)?;
-        session::open_session(&image, &self.symbols, &self.config, query, opts)
-    }
-
-    /// Runs a query on a fresh machine. With `enumerate_all` the machine
-    /// backtracks through every solution; otherwise it stops at the first.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Kcm::query`].
-    #[deprecated(since = "0.1.0", note = "use `Kcm::query` with `QueryOpts`")]
-    pub fn run(&mut self, query: &str, enumerate_all: bool) -> Result<Outcome, KcmError> {
-        let opts = QueryOpts {
-            enumerate_all,
-            ..QueryOpts::default()
-        };
-        self.query(query, &opts)
+        self.loaded()?.solutions(query, &self.config, opts)
     }
 
     /// Builds the machine for a query without running it (benchmark
@@ -723,12 +538,7 @@ impl Kcm {
     /// Returns [`KcmError::NoProgram`] before the first consult, or query
     /// parse/compile errors.
     pub fn prepare(&mut self, query: &str) -> Result<(Machine, Vec<String>), KcmError> {
-        let image = self.image.as_deref().ok_or(KcmError::NoProgram)?;
-        let goal = kcm_prolog::read_term(query)?;
-        let mut symbols = self.symbols.clone();
-        let (qimage, vars) = kcm_compiler::compile_query(image, &goal, &mut symbols)?;
-        let machine = Machine::new(qimage, symbols, self.config.clone());
-        Ok((machine, vars))
+        self.prepare_with(query, Machine::new)
     }
 
     /// [`Kcm::prepare`] for the native tier: builds a
@@ -741,12 +551,24 @@ impl Kcm {
         &mut self,
         query: &str,
     ) -> Result<(kcm_native::NativeMachine, Vec<String>), KcmError> {
-        let image = self.image.as_deref().ok_or(KcmError::NoProgram)?;
-        let goal = kcm_prolog::read_term(query)?;
-        let mut symbols = self.symbols.clone();
-        let (qimage, vars) = kcm_compiler::compile_query(image, &goal, &mut symbols)?;
-        let machine = kcm_native::native_machine(qimage, symbols, self.config.clone());
-        Ok((machine, vars))
+        self.prepare_with(query, kcm_native::native_machine)
+    }
+
+    fn prepare_with<M>(
+        &self,
+        query: &str,
+        build: fn(CodeImage, SymbolTable, MachineConfig) -> M,
+    ) -> Result<(M, Vec<String>), KcmError> {
+        let program = self.loaded()?;
+        let opts = QueryOpts::first();
+        program::prepare(
+            &program.image,
+            &program.symbols,
+            &self.config,
+            query,
+            &opts,
+            build,
+        )
     }
 
     /// First solution of a query, if any.
@@ -779,64 +601,6 @@ impl Kcm {
     }
 }
 
-/// The predicate a clause belongs to: the head's functor for a rule, the
-/// term's own functor for a fact.
-fn clause_pred(term: &Term) -> Result<PredId, KcmError> {
-    let head = match term {
-        Term::Struct(f, args) if f == ":-" && args.len() == 2 => &args[0],
-        t => t,
-    };
-    match head {
-        Term::Atom(name) => Ok(PredId {
-            name: name.clone(),
-            arity: 0,
-        }),
-        Term::Struct(name, args) => {
-            if args.len() > usize::from(u8::MAX) {
-                return Err(KcmError::Compile(CompileError::ArityTooLarge {
-                    pred: name.clone(),
-                    arity: args.len(),
-                }));
-            }
-            Ok(PredId {
-                name: name.clone(),
-                arity: args.len() as u8,
-            })
-        }
-        t => Err(KcmError::Compile(CompileError::BadClauseHead(
-            t.to_string(),
-        ))),
-    }
-}
-
-/// The switch key of one atomic fact argument — mirrors the compiler's
-/// first-argument index key derivation.
-fn const_key(t: &Term, symbols: &mut SymbolTable) -> Option<Word> {
-    match t {
-        Term::Int(v) => Some(Word::int(*v)),
-        Term::Float(v) => Some(Word::float(*v)),
-        Term::Atom(n) if n == "[]" => Some(Word::nil()),
-        Term::Atom(n) => Some(Word::atom(symbols.atom(n))),
-        _ => None,
-    }
-}
-
-/// Dispatch keys for a ground atomic-argument fact of arity ≥ 1: the
-/// first-argument key, plus the second-argument key (used when the
-/// predicate dispatches depth-2 on A2) for arity ≥ 2.
-fn fact_keys(fact: &Term, symbols: &mut SymbolTable) -> (Word, Option<Word>) {
-    let args = match fact {
-        Term::Struct(_, args) => args.as_slice(),
-        _ => &[],
-    };
-    let key1 = args
-        .first()
-        .and_then(|t| const_key(t, symbols))
-        .expect("fact_keys requires a compiled atomic-argument fact");
-    let key2 = args.get(1).and_then(|t| const_key(t, symbols));
-    (key1, key2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -867,17 +631,6 @@ mod tests {
         let outcome = kcm.query("p(2)", &QueryOpts::first()).unwrap();
         assert!(!outcome.success);
         assert!(outcome.solutions.is_empty());
-    }
-
-    #[test]
-    fn deprecated_run_still_matches_query() {
-        let mut kcm = Kcm::new();
-        kcm.load("p(1). p(2).").unwrap();
-        #[allow(deprecated)]
-        let old = kcm.run("p(X)", true).unwrap();
-        let new = kcm.query("p(X)", &QueryOpts::all()).unwrap();
-        assert_eq!(old.solutions, new.solutions);
-        assert_eq!(old.stats, new.stats);
     }
 
     #[test]
@@ -940,14 +693,6 @@ mod tests {
         kcm.load("p(1).").unwrap();
         assert!(kcm.load("q(").is_err());
         assert!(kcm.holds("p(1)").unwrap());
-    }
-
-    #[test]
-    fn deprecated_consult_still_matches_load() {
-        let mut kcm = Kcm::new();
-        #[allow(deprecated)]
-        kcm.consult("p(1). p(2).").unwrap();
-        assert_eq!(kcm.solve_all("p(X)").unwrap().len(), 2);
     }
 
     #[test]

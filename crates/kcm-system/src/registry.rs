@@ -6,17 +6,18 @@
 //! literature precedent — instead keeps many *named* knowledge bases
 //! resident and lets every connection query any of them by name. The
 //! [`ProgramRegistry`] is that shape: each published program is an
-//! immutable compiled [`CodeImage`] behind an `Arc`, shared by every
-//! connection and every worker that queries it.
+//! immutable [`Program`], shared by `Arc` with every connection and every
+//! worker that queries it.
 //!
 //! Invariants:
 //!
 //! * **Published programs are immutable.** A publish compiles the full
-//!   source into a fresh image; nothing ever mutates an image in place.
-//!   Re-publishing a name is copy-on-write: a new [`Published`] entry
-//!   (version bumped) replaces the old one in the map, while in-flight
-//!   queries keep running on the `Arc` they already resolved — they
-//!   finish on the program they started on.
+//!   source into a fresh image; nothing ever mutates a published image.
+//!   Re-publishing a name, and every `ASSERT`/`RETRACT` (through
+//!   [`Program::assertz`] / [`Program::retract`], which return a
+//!   successor), is copy-on-write: a new [`Published`] entry (version
+//!   bumped) replaces the old one in the map, while in-flight queries keep
+//!   running on the program they already resolved.
 //! * **Per-tenant stats survive re-publish.** The [`TenantStats`]
 //!   counters hang off the tenant name, not the version, so a deploy
 //!   doesn't zero the tenant's traffic history.
@@ -26,11 +27,9 @@
 //!   the registry's handle; in-flight queries on the evicted program
 //!   still hold their `Arc` and complete normally.
 
-use crate::{Kcm, KcmError, MachineConfig, ProgramSource};
-use kcm_arch::SymbolTable;
-use kcm_compiler::CodeImage;
-use kcm_prolog::Term;
+use crate::{KcmError, MachineConfig, Program, ProgramSource};
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -142,36 +141,36 @@ impl TenantStats {
     }
 }
 
-/// One published knowledge base: an immutable compiled program under a
-/// name and version, plus the tenant's serving policy and counters.
+/// One published knowledge base: an immutable compiled [`Program`] under
+/// a name and version, plus the tenant's serving policy and counters.
 ///
 /// Everything a worker needs to run a query travels in this one `Arc`:
 /// resolving a tenant is a single map lookup, and holding the result
 /// keeps the program alive across any concurrent re-publish or
-/// eviction.
+/// eviction. `Published` dereferences to its [`Program`], so
+/// `published.image` and `published.symbols` read straight through.
 #[derive(Debug)]
 pub struct Published {
     /// The tenant name this program was published under.
     pub name: String,
-    /// Publish generation: 1 on first publish, +1 per re-publish.
+    /// Publish generation: 1 on first publish, +1 per re-publish or
+    /// applied update.
     pub version: u64,
-    /// The compiled, immutable program image.
-    pub image: Arc<CodeImage>,
-    /// The symbol table the image was compiled against (query
-    /// compilation clones it per session).
-    pub symbols: SymbolTable,
+    /// The compiled program this version serves.
+    pub program: Program,
     /// Per-tenant step budget applied to queries that don't carry their
     /// own `BUDGET`; `None` defers to the server default.
     pub step_budget: Option<u64>,
     /// The tenant's serving counters (shared across versions).
     pub stats: Arc<TenantStats>,
-    /// The clause source the image was compiled from — what an
-    /// incremental update's recompile fallback rebuilds a predicate
-    /// from. Empty for snapshot-published tenants.
-    clauses: Arc<Vec<Term>>,
-    /// Whether the tenant was published from a binary snapshot (no
-    /// clause source held; updates are limited to in-place fact paths).
-    from_snapshot: bool,
+}
+
+impl Deref for Published {
+    type Target = Program;
+
+    fn deref(&self) -> &Program {
+        &self.program
+    }
 }
 
 /// What a publish accomplished.
@@ -247,7 +246,9 @@ impl ProgramRegistry {
     /// least-recently-used tenant first (reported in the receipt).
     /// Compilation/restore happens *before* the map is touched, so a
     /// failed publish leaves the registry — including any previous
-    /// version of `name` — exactly as it was.
+    /// version of `name` — exactly as it was. `_config` is unused:
+    /// machine configuration is a per-query matter for whoever runs the
+    /// tenant's queries.
     ///
     /// # Errors
     ///
@@ -257,15 +258,10 @@ impl ProgramRegistry {
         &self,
         name: &str,
         source: impl Into<ProgramSource<'a>>,
-        config: &MachineConfig,
+        _config: &MachineConfig,
         step_budget: Option<u64>,
     ) -> Result<PublishReceipt, KcmError> {
-        let mut kcm = Kcm::with_config(config.clone());
-        kcm.load(source)?;
-        let image = kcm.shared_image().expect("load succeeded");
-        let symbols = kcm.symbols().clone();
-        let clauses = Arc::new(std::mem::take(&mut kcm.clauses));
-        let from_snapshot = kcm.from_snapshot;
+        let program = Program::load(source)?;
         let now = self.tick();
         let mut slots = self.slots.lock().expect("registry lock");
         let (version, stats, evicted) = match slots.get(name) {
@@ -291,12 +287,9 @@ impl ProgramRegistry {
                 entry: Arc::new(Published {
                     name: name.to_owned(),
                     version,
-                    image,
-                    symbols,
+                    program,
                     step_budget,
                     stats,
-                    clauses,
-                    from_snapshot,
                 }),
                 last_used: now,
             },
@@ -304,14 +297,14 @@ impl ProgramRegistry {
         Ok(PublishReceipt { version, evicted })
     }
 
-    /// Applies one incremental update to a tenant copy-on-write: builds
-    /// the successor version under the registry lock (serializing
-    /// concurrent updates), bumps the version only when `apply` reports
-    /// a change, and leaves in-flight queries running on the version
-    /// they already resolved.
+    /// Applies one incremental update to a tenant copy-on-write: `apply`
+    /// builds the successor program (or `None` for no change) under the
+    /// registry lock, serializing concurrent updates; the version is
+    /// bumped only when there is a successor, and in-flight queries keep
+    /// running on the version they already resolved.
     fn update<F>(&self, name: &str, apply: F) -> Result<(PublishReceipt, bool), KcmError>
     where
-        F: FnOnce(&mut Kcm) -> Result<bool, KcmError>,
+        F: FnOnce(&Program) -> Result<Option<Program>, KcmError>,
     {
         let now = self.tick();
         let mut slots = self.slots.lock().expect("registry lock");
@@ -319,32 +312,21 @@ impl ProgramRegistry {
             .get_mut(name)
             .ok_or_else(|| KcmError::UnknownProgram(name.to_owned()))?;
         slot.last_used = now;
-        let old = Arc::clone(&slot.entry);
-        let mut kcm = Kcm {
-            symbols: old.symbols.clone(),
-            clauses: old.clauses.as_ref().clone(),
-            image: Some(Arc::clone(&old.image)),
-            from_snapshot: old.from_snapshot,
-            config: MachineConfig::default(),
-        };
-        let changed = apply(&mut kcm)?;
-        if !changed {
+        let old = &slot.entry;
+        let Some(program) = apply(&old.program)? else {
             let receipt = PublishReceipt {
                 version: old.version,
                 evicted: None,
             };
             return Ok((receipt, false));
-        }
+        };
         let version = old.version + 1;
         slot.entry = Arc::new(Published {
             name: old.name.clone(),
             version,
-            image: kcm.image.clone().expect("update kept an image"),
-            symbols: kcm.symbols,
+            program,
             step_budget: old.step_budget,
             stats: Arc::clone(&old.stats),
-            clauses: Arc::new(kcm.clauses),
-            from_snapshot: old.from_snapshot,
         });
         let receipt = PublishReceipt {
             version,
@@ -354,32 +336,32 @@ impl ProgramRegistry {
     }
 
     /// Asserts one clause at the end of its predicate in the named
-    /// tenant's program ([`Kcm::assertz`] semantics: in-place fact patch
-    /// with a per-predicate recompile fallback). The update is
-    /// copy-on-write — a new version serves subsequent lookups while
-    /// in-flight queries finish on the program they started on — and
-    /// visible to the next query without a re-publish.
+    /// tenant's program ([`Program::assertz`]: in-place fact patch with a
+    /// per-predicate recompile fallback, on a copy). The new version
+    /// serves subsequent lookups while in-flight queries finish on the
+    /// program they started on, and is visible to the next query without
+    /// a re-publish.
     ///
     /// # Errors
     ///
     /// [`KcmError::UnknownProgram`] for an unpublished name, plus every
-    /// [`Kcm::assertz`] condition.
+    /// [`crate::Kcm::assertz`] condition.
     pub fn assertz(&self, name: &str, clause: &str) -> Result<PublishReceipt, KcmError> {
-        self.update(name, |kcm| kcm.assertz(clause).map(|()| true))
+        self.update(name, |program| program.assertz(clause).map(Some))
             .map(|(receipt, _)| receipt)
     }
 
     /// Retracts the first clause equal to `clause` from the named
-    /// tenant's program ([`Kcm::retract`] semantics), copy-on-write.
-    /// Returns the receipt plus whether a clause was removed; when
-    /// nothing matched the version is unchanged.
+    /// tenant's program ([`Program::retract`]), copy-on-write. Returns
+    /// the receipt plus whether a clause was removed; when nothing
+    /// matched the version is unchanged.
     ///
     /// # Errors
     ///
     /// [`KcmError::UnknownProgram`] for an unpublished name, plus every
-    /// [`Kcm::retract`] condition.
+    /// [`crate::Kcm::retract`] condition.
     pub fn retract(&self, name: &str, clause: &str) -> Result<(PublishReceipt, bool), KcmError> {
-        self.update(name, |kcm| kcm.retract(clause))
+        self.update(name, |program| program.retract(clause))
     }
 
     /// Serializes the named tenant's current program into the binary
@@ -390,8 +372,7 @@ impl ProgramRegistry {
     ///
     /// [`KcmError::UnknownProgram`] for an unpublished name.
     pub fn snapshot(&self, name: &str) -> Result<Vec<u8>, KcmError> {
-        let tenant = self.lookup(name)?;
-        Ok(kcm_arch::snapshot::save(&tenant.image, &tenant.symbols))
+        Ok(self.lookup(name)?.snapshot())
     }
 
     /// Resolves a tenant by name, bumping its recency.
@@ -426,7 +407,7 @@ impl ProgramRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::QueryOpts;
+    use crate::{Kcm, QueryOpts};
 
     fn registry(capacity: usize) -> ProgramRegistry {
         ProgramRegistry::new(capacity)
@@ -689,6 +670,37 @@ mod tests {
             r.assertz("ghost", "p(1)"),
             Err(KcmError::UnknownProgram(_))
         ));
+    }
+
+    #[test]
+    fn snapshot_published_tenant_patches_facts_and_refuses_rules() {
+        let mut kcm = Kcm::new();
+        let src: String = (0..16).map(|i| format!("f(k{i}, v{}).\n", i % 3)).collect();
+        kcm.load(&src).expect("load");
+        let r = registry(4);
+        let bytes = kcm.snapshot().expect("snapshot");
+        r.publish("kb", &bytes, &MachineConfig::default(), None)
+            .expect("publish snapshot");
+        assert!(r.lookup("kb").expect("lookup").clauses().is_none());
+        let cfg = MachineConfig::default();
+
+        // A ground fact patches the image in place and bumps the version.
+        let receipt = r.assertz("kb", "f(k_new, v_new)").expect("fact assert");
+        assert_eq!(receipt.version, 2);
+        let t = r.lookup("kb").expect("v2");
+        let job = crate::QueryJob::all_solutions("f(k_new, V)");
+        let out = crate::pool::run_session(&t.image, &t.symbols, &cfg, &job).expect("run");
+        assert_eq!(out.solutions.len(), 1);
+
+        // A rule needs a recompile from source the tenant does not hold:
+        // a classed refusal that leaves the version and the program alone.
+        let err = r.assertz("kb", "g(X) :- f(X, _)").unwrap_err();
+        assert_eq!(crate::error_class(&err), "update");
+        let t = r.lookup("kb").expect("still v2");
+        assert_eq!(t.version, 2);
+        let job = crate::QueryJob::all_solutions("f(K, V)");
+        let out = crate::pool::run_session(&t.image, &t.symbols, &cfg, &job).expect("run");
+        assert_eq!(out.solutions.len(), 17);
     }
 
     #[test]

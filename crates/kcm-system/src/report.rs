@@ -12,7 +12,7 @@ use kcm_cpu::RunStats;
 /// # fn main() -> Result<(), kcm_system::KcmError> {
 /// let mut kcm = Kcm::new();
 /// kcm.load("p(1).")?;
-/// let outcome = kcm.run("p(X)", false)?;
+/// let outcome = kcm.query("p(X)", &Default::default())?;
 /// let text = report::summary(&outcome.stats);
 /// assert!(text.contains("cycles"));
 /// # Ok(())
@@ -75,7 +75,7 @@ pub fn summary(stats: &RunStats) -> String {
 /// # fn main() -> Result<(), kcm_system::KcmError> {
 /// let mut kcm = Kcm::new();
 /// kcm.load("p(1).")?;
-/// let outcome = kcm.run("p(X)", false)?;
+/// let outcome = kcm.query("p(X)", &Default::default())?;
 /// let text = report::profile_summary(&outcome.profile);
 /// assert!(text.contains("mwac"));
 /// # Ok(())

@@ -15,33 +15,11 @@
 //! instruction sequence an uninterrupted enumerate-all run would — the
 //! property the difftest enumeration oracle checks byte-for-byte.
 
-use crate::{KcmError, Machine, MachineConfig, QueryOpts, RunStats, Solution, Tier};
+use crate::program::{prepare, QueryMachine};
+use crate::{KcmError, MachineConfig, QueryOpts, RunStats, Solution};
 use kcm_arch::SymbolTable;
 use kcm_compiler::CodeImage;
-use kcm_cpu::SessionStep;
 use std::sync::Arc;
-
-/// The suspended machine behind a session, one variant per tier.
-enum SessionMachine {
-    Cycle(Box<Machine>),
-    Native(Box<kcm_native::NativeMachine>),
-}
-
-impl SessionMachine {
-    fn next_solution(&mut self) -> Result<SessionStep, KcmError> {
-        match self {
-            SessionMachine::Cycle(m) => Ok(m.next_solution()?),
-            SessionMachine::Native(m) => Ok(m.next_solution()?),
-        }
-    }
-
-    fn exhausted(&self) -> bool {
-        match self {
-            SessionMachine::Cycle(m) => m.session_exhausted(),
-            SessionMachine::Native(m) => m.session_exhausted(),
-        }
-    }
-}
 
 /// One pulled solution with its slice accounting.
 #[derive(Debug, Clone)]
@@ -56,12 +34,13 @@ pub struct SolutionStep {
 
 /// A suspended query session: a pull-based stream of solutions.
 ///
-/// Obtained from [`crate::Kcm::solutions`] or [`open_session`]. Pull with
-/// [`Solutions::next_step`] for per-slice accounting, or use the
-/// [`Iterator`] impl for the solutions alone. Dropping the session at any
-/// point releases the machine — there is nothing else to clean up.
+/// Obtained from [`crate::Kcm::solutions`], [`crate::Program::solutions`]
+/// or [`open_session`]. Pull with [`Solutions::next_step`] for per-slice
+/// accounting, or use the [`Iterator`] impl for the solutions alone.
+/// Dropping the session at any point releases the machine — there is
+/// nothing else to clean up.
 pub struct Solutions {
-    machine: SessionMachine,
+    machine: QueryMachine,
     dead: bool,
     pulled: u64,
     totals: RunStats,
@@ -146,11 +125,10 @@ impl Iterator for Solutions {
 }
 
 /// Opens a suspendable session for `query` against an already-linked
-/// `image`: the standalone form of [`crate::Kcm::solutions`], taking the
-/// image behind its sharing handle so servers can open cursors without a
-/// `Kcm` front end (and keep streaming from a pinned image after a
-/// republish). `opts.enumerate_all` is ignored — a session enumerates by
-/// construction, the *caller* decides when to stop pulling.
+/// `image`: [`crate::Program::solutions`] for callers that hold the image
+/// and symbol table apart. `opts.enumerate_all` is ignored — a session
+/// enumerates by construction, the *caller* decides when to stop
+/// pulling.
 ///
 /// # Errors
 ///
@@ -162,23 +140,10 @@ pub fn open_session(
     query: &str,
     opts: &QueryOpts,
 ) -> Result<Solutions, KcmError> {
-    let goal = kcm_prolog::read_term(query)?;
-    let mut symbols = symbols.clone();
-    let (qimage, vars) = kcm_compiler::compile_query(image, &goal, &mut symbols)?;
-    let mut config = config.clone();
-    opts.apply(&mut config);
-    let machine = match opts.tier {
-        Tier::Cycle => {
-            let mut m = Machine::new(qimage, symbols, config);
-            m.begin_query_session(&vars)?;
-            SessionMachine::Cycle(Box::new(m))
-        }
-        Tier::Native => {
-            let mut m = kcm_native::native_machine(qimage, symbols, config);
-            m.begin_query_session(&vars)?;
-            SessionMachine::Native(Box::new(m))
-        }
-    };
+    let (mut machine, vars) = prepare(image, symbols, config, query, opts, |i, s, c| {
+        QueryMachine::new(opts.tier, i, s, c)
+    })?;
+    machine.begin_session(&vars)?;
     Ok(Solutions {
         machine,
         dead: false,

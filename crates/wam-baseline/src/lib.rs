@@ -122,25 +122,6 @@ impl Engine for BaselineModel {
     }
 }
 
-/// Compiles `source` for the baseline and runs `query` on a fresh machine.
-///
-/// # Errors
-///
-/// Propagates parse, compile and machine errors.
-#[deprecated(since = "0.1.0", note = "use `BaselineModel::run` with `QueryOpts`")]
-pub fn run_baseline(
-    model: &BaselineModel,
-    source: &str,
-    query: &str,
-    enumerate_all: bool,
-) -> Result<Outcome, KcmError> {
-    let opts = QueryOpts {
-        enumerate_all,
-        ..QueryOpts::default()
-    };
-    model.run(source, query, &opts)
-}
-
 /// Compiles `source` for the baseline and returns the per-predicate sizes
 /// of the non-auxiliary predicates (instructions, 64-bit words) — the raw
 /// material the concrete models turn into their own encodings.
