@@ -23,6 +23,14 @@
 //!   walks every word through the simulated code cache (a fidelity
 //!   cost of the timing model, deliberately untouched — the simulated
 //!   counters it produces are the byte-identity contract);
+//! * **end-to-end lookup** — host-time p50 of the same point lookups as
+//!   a request: [`Kcm::query`] per key, so each sample parses the query,
+//!   compiles it against the program, builds a fresh machine, runs and
+//!   drops it. The point lookup above times the *execute* layer on a hot
+//!   machine; this is what a request costs. Because a query is an overlay
+//!   on the program's shared image and symbol table, it too stays flat in
+//!   `n` (acceptance: the native p50 at the largest size within 2× of the
+//!   smallest);
 //! * **enumeration** — host throughput of the failure-driven loop
 //!   `fact(K, V), fail`, which visits every clause once.
 //!
@@ -49,17 +57,19 @@
 //! JSONL schema (`BENCH_factscale.jsonl`): one `row` per size with
 //! `facts` and `consult_host_ms`, then one `row` per (size, tier) with
 //! `tier` (`"cycle"` / `"native"`), `facts`, `lookup_p50_us`,
-//! `lookup_p99_us`, `enum_host_ms` and `enum_kfacts_per_s`; one
+//! `lookup_p99_us`, `e2e_p50_us`, `enum_host_ms` and `enum_kfacts_per_s`; one
 //! `coldstart/n=<n>` row per size with `facts`, `consult_host_ms`,
 //! `snapshot_save_host_ms`, `snapshot_bytes`, `snapshot_load_host_ms`
 //! and `load_speedup`; one final `summary` with the native p50 ratio
 //! between the largest and smallest sizes (`p50_ratio_max_vs_min`, the
-//! O(1) acceptance number) and one `coldstart` summary with the
-//! largest-size load time (`load_host_ms_at_max`).
+//! O(1) acceptance number), one `e2e-p50-scaling` summary with the same
+//! ratio for the native end-to-end lookup (`e2e_ratio_max_vs_min`), and
+//! one `coldstart` summary with the largest-size load time
+//! (`load_host_ms_at_max`).
 
 use bench::{JsonlWriter, Record};
 use kcm_suite::table::{f2, f3, ratio, Table};
-use kcm_system::{Kcm, ProgramSource};
+use kcm_system::{Kcm, ProgramSource, QueryOpts};
 use std::time::Instant;
 
 /// How many distinct keys the point-lookup percentiles are taken over.
@@ -167,6 +177,32 @@ fn lookup_percentiles(kcm: &mut Kcm, n: usize, tier: Tier, reps: u32) -> (f64, f
     (p50, p99)
 }
 
+/// End-to-end point-lookup p50 on one tier, in microseconds: per key,
+/// the min over `reps` [`Kcm::query`] calls — parse, compile, a fresh
+/// machine, run, drop — then the median across the key samples.
+fn e2e_p50(kcm: &mut Kcm, n: usize, tier: Tier, reps: u32) -> f64 {
+    let opts = QueryOpts::first().with_tier(match tier {
+        Tier::Cycle => kcm_system::Tier::Cycle,
+        Tier::Native => kcm_system::Tier::Native,
+    });
+    let mut samples: Vec<f64> = lookup_keys(n)
+        .iter()
+        .map(|k| {
+            let query = format!("fact({k}, V)");
+            let mut best_s = f64::INFINITY;
+            for _ in 0..reps {
+                let t0 = Instant::now();
+                let outcome = kcm.query(&query, &opts).expect("query runs");
+                best_s = best_s.min(t0.elapsed().as_secs_f64());
+                assert!(outcome.success, "{query} must succeed at n={n}");
+            }
+            best_s * 1e6
+        })
+        .collect();
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
+    samples[samples.len() / 2]
+}
+
 fn main() {
     let config = bench::hostperf_config();
     bench::banner(
@@ -187,6 +223,7 @@ fn main() {
         "Consult ms",
         "Lookup p50 us",
         "Lookup p99 us",
+        "E2E p50 us",
         "Enum ms",
         "Enum Kfacts/s",
     ]);
@@ -201,6 +238,8 @@ fn main() {
     let mut jsonl = JsonlWriter::for_bench("factscale");
     // (n, native p50) per size, for the O(1) acceptance summary.
     let mut native_p50s: Vec<(usize, f64)> = Vec::new();
+    // (n, native end-to-end p50) per size, for the request-cost summary.
+    let mut native_e2e: Vec<(usize, f64)> = Vec::new();
     // (n, snapshot load ms) per size, for the cold-start summary.
     let mut cold_loads: Vec<(usize, f64)> = Vec::new();
     for n in sizes() {
@@ -216,11 +255,13 @@ fn main() {
         );
         for tier in [Tier::Cycle, Tier::Native] {
             let (p50, p99) = lookup_percentiles(&mut kcm, n, tier, reps);
+            let e2e = e2e_p50(&mut kcm, n, tier, reps);
             let (enum_s, enum_ok) = time_query(&mut kcm, "fact(K, V), fail", tier, reps);
             assert!(!enum_ok, "the failure-driven loop must exhaust the facts");
             let kfacts_per_s = ratio(n as f64 / 1e3, enum_s);
             if matches!(tier, Tier::Native) {
                 native_p50s.push((n, p50));
+                native_e2e.push((n, e2e));
             }
             t.row(vec![
                 n.to_string(),
@@ -228,6 +269,7 @@ fn main() {
                 f2(consult_ms),
                 f2(p50),
                 f2(p99),
+                f2(e2e),
                 f3(enum_s * 1e3),
                 f2(kfacts_per_s),
             ]);
@@ -237,6 +279,7 @@ fn main() {
                     .u64("facts", n as u64)
                     .f64("lookup_p50_us", p50)
                     .f64("lookup_p99_us", p99)
+                    .f64("e2e_p50_us", e2e)
                     .f64("enum_host_ms", enum_s * 1e3)
                     .f64("enum_kfacts_per_s", kfacts_per_s),
             );
@@ -317,6 +360,26 @@ fn main() {
                 .f64("p50_min_us", p50_min)
                 .f64("p50_max_us", p50_max)
                 .f64("p50_ratio_max_vs_min", r),
+        );
+    }
+    if let (Some(&(n_min, e2e_min)), Some(&(n_max, e2e_max))) =
+        (native_e2e.first(), native_e2e.last())
+    {
+        let r = ratio(e2e_max, e2e_min);
+        println!(
+            "native end-to-end lookup p50: {} us at n={n_min} vs {} us at n={n_max}  ({}x)",
+            f2(e2e_min),
+            f2(e2e_max),
+            f2(r)
+        );
+        println!("A request costs O(query) when that ratio stays within 2x.");
+        jsonl.record(
+            &Record::summary("factscale", "e2e-p50-scaling")
+                .u64("facts_min", n_min as u64)
+                .u64("facts_max", n_max as u64)
+                .f64("e2e_p50_min_us", e2e_min)
+                .f64("e2e_p50_max_us", e2e_max)
+                .f64("e2e_ratio_max_vs_min", r),
         );
     }
     if let Some(&(n_max, load_ms)) = cold_loads.last() {

@@ -14,33 +14,58 @@
 use bench::jsonl::{validate_line, Json};
 use std::path::PathBuf;
 
-/// Bench-specific shape checks on top of the generic record schema:
-/// `factscale` cold-start rows must carry every metric the consult-vs-
-/// snapshot comparison is made of — a driver that stops emitting one of
-/// them would otherwise validate while quietly losing the acceptance
-/// number.
-fn check_shape(v: &Json) -> Result<(), String> {
+/// Bench-specific shape checks on top of the generic record schema: the
+/// fields each `factscale` record kind must carry. Cold-start rows carry
+/// every metric the consult-vs-snapshot comparison is made of; per-tier
+/// rows carry both the hot (execute-layer) and the end-to-end (request)
+/// lookup p50. A driver that stops emitting one of them would otherwise
+/// validate while quietly losing an acceptance number.
+fn required_fields(v: &Json) -> &'static [&'static str] {
     let bench = v.get("bench").and_then(Json::as_str).unwrap_or("");
     let label = v.get("label").and_then(Json::as_str).unwrap_or("");
-    if bench == "factscale" && label.starts_with("coldstart") {
-        let required: &[&str] = if v.get("kind").and_then(Json::as_str) == Some("summary") {
-            &["facts_max", "load_host_ms_at_max"]
-        } else {
-            &[
-                "facts",
-                "consult_host_ms",
-                "snapshot_save_host_ms",
-                "snapshot_bytes",
-                "snapshot_load_host_ms",
-                "load_speedup",
-            ]
-        };
-        for key in required {
-            match v.get(key) {
-                Some(Json::Num(_)) => {}
-                Some(_) => return Err(format!("coldstart `{key}` is not a number")),
-                None => return Err(format!("coldstart record missing `{key}`")),
-            }
+    let summary = v.get("kind").and_then(Json::as_str) == Some("summary");
+    if bench != "factscale" {
+        return &[];
+    }
+    match label {
+        l if l.starts_with("coldstart") && summary => &["facts_max", "load_host_ms_at_max"],
+        l if l.starts_with("coldstart") => &[
+            "facts",
+            "consult_host_ms",
+            "snapshot_save_host_ms",
+            "snapshot_bytes",
+            "snapshot_load_host_ms",
+            "load_speedup",
+        ],
+        E2E_SUMMARY if summary => &[
+            "facts_min",
+            "facts_max",
+            "e2e_p50_min_us",
+            "e2e_p50_max_us",
+            "e2e_ratio_max_vs_min",
+        ],
+        l if is_tier_row(l) && !summary => {
+            &["facts", "lookup_p50_us", "lookup_p99_us", "e2e_p50_us"]
+        }
+        _ => &[],
+    }
+}
+
+/// Label of the `factscale` summary a file with per-tier rows must hold.
+const E2E_SUMMARY: &str = "e2e-p50-scaling";
+
+/// A `factscale` per-(size, tier) row label: `n=<facts>/<tier>`.
+fn is_tier_row(label: &str) -> bool {
+    label.starts_with("n=") && label.contains('/')
+}
+
+fn check_shape(v: &Json) -> Result<(), String> {
+    let label = v.get("label").and_then(Json::as_str).unwrap_or("");
+    for key in required_fields(v) {
+        match v.get(key) {
+            Some(Json::Num(_)) => {}
+            Some(_) => return Err(format!("`{label}` field `{key}` is not a number")),
+            None => return Err(format!("`{label}` record missing `{key}`")),
         }
     }
     Ok(())
@@ -88,17 +113,32 @@ fn main() {
             }
         };
         let mut file_records = 0usize;
+        let (mut tier_rows, mut e2e_summary) = (false, false);
         for (lineno, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
             match validate_line(line).and_then(|v| check_shape(&v).map(|()| v)) {
-                Ok(_) => file_records += 1,
+                Ok(v) => {
+                    file_records += 1;
+                    if v.get("bench").and_then(Json::as_str) == Some("factscale") {
+                        let label = v.get("label").and_then(Json::as_str).unwrap_or("");
+                        tier_rows |= is_tier_row(label);
+                        e2e_summary |= label == E2E_SUMMARY;
+                    }
+                }
                 Err(e) => {
                     eprintln!("{}:{}: {e}", path.display(), lineno + 1);
                     failures += 1;
                 }
             }
+        }
+        if tier_rows && !e2e_summary {
+            eprintln!(
+                "{}: factscale rows without the `{E2E_SUMMARY}` summary",
+                path.display()
+            );
+            failures += 1;
         }
         if file_records == 0 {
             eprintln!("{}: no records", path.display());

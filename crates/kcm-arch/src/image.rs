@@ -22,6 +22,7 @@ use crate::swindex::SwitchIndex;
 use crate::symbol::SymbolTable;
 use crate::word::Word;
 use crate::zone::Zone;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -244,17 +245,17 @@ impl LazyCode {
     }
 }
 
-/// Decoded-instruction storage behind [`CodeImage`]: a plain vector for
-/// freshly linked images, or chunk-lazy decoding over a snapshot's
-/// encoded stream — what lets a million-fact snapshot restore without
-/// paying to decode five million instructions up front. Indexing reads
-/// through either representation; any mutation (push, `IndexMut`) forces
-/// full materialization first, so patched images behave exactly like
-/// linked ones.
+/// Decoded-instruction storage behind a [`CodeLayer`]: a plain vector for
+/// freshly linked code, or chunk-lazy decoding over a snapshot's encoded
+/// stream — what lets a million-fact snapshot restore without paying to
+/// decode five million instructions up front. Indexing reads through
+/// either representation; any mutation (push, `IndexMut`) forces full
+/// materialization first, so patched images behave exactly like linked
+/// ones.
 #[derive(Debug, Clone)]
 pub(crate) enum CodeStore {
     Eager(Vec<Instr>),
-    /// `Arc` so per-query image clones share materialized chunks.
+    /// `Arc` so the words store of the same snapshot shares the stream.
     Lazy(Arc<LazyCode>),
 }
 
@@ -313,10 +314,10 @@ impl std::ops::IndexMut<usize> for CodeStore {
     }
 }
 
-/// Encoded-words storage behind [`CodeImage`]: a plain vector for linked
-/// (and mutated) images, or a deferred rebuild from the lazy code stream
-/// for snapshots whose words section was omitted. Execution never reads
-/// the words image — only the linker, the snapshot writer, and
+/// Encoded-words storage behind a [`CodeLayer`]: a plain vector for
+/// linked (and mutated) code, or a deferred rebuild from the lazy code
+/// stream for snapshots whose words section was omitted. Execution never
+/// reads the words image — only the linker, the snapshot writer, and
 /// diagnostics do — so a restored image typically never pays for it.
 #[derive(Debug, Clone)]
 pub(crate) enum WordStore {
@@ -324,8 +325,7 @@ pub(crate) enum WordStore {
     Lazy {
         code: Arc<LazyCode>,
         len: usize,
-        /// `Arc` so per-query image clones share the materialization.
-        cache: Arc<OnceLock<Vec<u64>>>,
+        cache: OnceLock<Vec<u64>>,
     },
 }
 
@@ -334,7 +334,7 @@ impl WordStore {
         WordStore::Lazy {
             code,
             len,
-            cache: Arc::new(OnceLock::new()),
+            cache: OnceLock::new(),
         }
     }
 
@@ -347,11 +347,248 @@ impl WordStore {
     }
 }
 
+/// Tables derived from one layer's code, built on first use. A clone of
+/// a layer — the copy-on-write of a shared base — starts with an empty
+/// cache, and every mutation of a layer clears its cache, so a table is
+/// never carried past the code it was derived from.
+#[derive(Debug, Default)]
+struct LayerCache {
+    /// Per local stream index: the fall-through address (`addr + size`,
+    /// low 32 bits) and its local stream index (high 32 bits), packed so
+    /// the native hot loop pays one load per step. `u32::MAX` in the high
+    /// half means the fall-through is not an instruction of this layer —
+    /// the end of a base layer, where the layer above may continue — and
+    /// the machine must take the checked lookup.
+    resolved_next: OnceLock<Box<[u64]>>,
+}
+
+impl Clone for LayerCache {
+    fn clone(&self) -> LayerCache {
+        LayerCache::default()
+    }
+}
+
+/// One layer of a [`CodeImage`]: a contiguous run of code words and
+/// decoded instructions, with the entries, size records, warnings and
+/// static literals that were linked into it.
+///
+/// A layer covers word addresses `word_base..word_base + words` and
+/// global stream indices `index_base..index_base + instrs`; the frozen
+/// base layer of an image starts at zero and the image's top layer starts
+/// where the base ends. The type is opaque: it is exposed only so that
+/// holders of images can tell (with [`Arc::ptr_eq`] on
+/// [`CodeImage::base_layer`]) whether two images share their base.
+#[derive(Debug, Clone)]
+pub struct CodeLayer {
+    word_base: u32,
+    index_base: u32,
+    instrs: CodeStore,
+    /// Word address of each instruction in `instrs` (sorted).
+    addrs: Vec<u32>,
+    /// Dense map `addr - word_base` → local index into `instrs`
+    /// (`u32::MAX` = not an instruction start). Dense because the
+    /// machine consults it on every taken branch.
+    addr_index: Vec<u32>,
+    /// Link-time hash side table, parallel to `instrs`: wide
+    /// `switch_on_constant` / `switch_on_structure` tables get an
+    /// open-addressing index here so dispatch is O(1) instead of a
+    /// linear scan.
+    switch_index: Vec<Option<Arc<SwitchIndex>>>,
+    /// Encoded words from `word_base` on.
+    words: WordStore,
+    entries: HashMap<(String, u8), CodeAddr>,
+    sizes: Vec<PredSize>,
+    warnings: Vec<String>,
+    /// Static literals, placed after the layer below's.
+    static_data: Vec<Word>,
+    cache: LayerCache,
+}
+
+impl CodeLayer {
+    /// An empty layer starting at word address `word_base` and global
+    /// stream index `index_base`.
+    fn empty(word_base: u32, index_base: u32) -> CodeLayer {
+        CodeLayer {
+            word_base,
+            index_base,
+            instrs: CodeStore::Eager(Vec::new()),
+            addrs: Vec::new(),
+            addr_index: Vec::new(),
+            switch_index: Vec::new(),
+            words: WordStore::Eager(Vec::new()),
+            entries: HashMap::new(),
+            sizes: Vec::new(),
+            warnings: Vec::new(),
+            static_data: Vec::new(),
+            cache: LayerCache::default(),
+        }
+    }
+
+    /// An empty layer continuing right after `below`.
+    fn above(below: &CodeLayer) -> CodeLayer {
+        CodeLayer::empty(
+            below.len_words() as u32,
+            below.index_base + below.instrs.len() as u32,
+        )
+    }
+
+    fn is_empty(&self) -> bool {
+        self.instrs.len() == 0
+            && self.words.len() == 0
+            && self.entries.is_empty()
+            && self.sizes.is_empty()
+            && self.warnings.is_empty()
+            && self.static_data.is_empty()
+    }
+
+    /// One past the layer's last word address.
+    #[inline]
+    fn len_words(&self) -> usize {
+        self.word_base as usize + self.words.len()
+    }
+
+    /// Local index of the instruction starting at `addr`, if it is one of
+    /// this layer's.
+    #[inline]
+    fn local(&self, addr: CodeAddr) -> Option<usize> {
+        let rel = addr.value().wrapping_sub(self.word_base) as usize;
+        match self.addr_index.get(rel) {
+            Some(&i) if i != u32::MAX => Some(i as usize),
+            _ => None,
+        }
+    }
+
+    #[inline]
+    fn instr_at(&self, addr: CodeAddr) -> Option<&Instr> {
+        self.local(addr).map(|i| &self.instrs[i])
+    }
+
+    fn words(&self) -> &[u64] {
+        match &self.words {
+            WordStore::Eager(v) => v,
+            WordStore::Lazy { code, len, cache } => {
+                cache.get_or_init(|| code.scatter_words(*len, &self.addrs))
+            }
+        }
+    }
+
+    /// The words as a mutable vector, materializing a lazy store first
+    /// (any mutation leaves the layer eager, like [`CodeStore`]).
+    fn words_mut(&mut self) -> &mut Vec<u64> {
+        if let WordStore::Lazy { code, len, cache } = &mut self.words {
+            let v = cache
+                .take()
+                .unwrap_or_else(|| code.scatter_words(*len, &self.addrs));
+            self.words = WordStore::Eager(v);
+        }
+        match &mut self.words {
+            WordStore::Eager(v) => v,
+            WordStore::Lazy { .. } => unreachable!("just forced eager"),
+        }
+    }
+
+    /// The native tier's fall-through table (see [`LayerCache`]), built
+    /// on first use.
+    fn resolved_next(&self) -> &[u64] {
+        self.cache.resolved_next.get_or_init(|| {
+            self.instrs
+                .iter()
+                .zip(&self.addrs)
+                .map(|(instr, &addr)| {
+                    let next = addr + instr.size_words() as u32;
+                    let next_idx = self
+                        .local(CodeAddr::new(next))
+                        .map_or(u32::MAX, |i| i as u32);
+                    u64::from(next) | (u64::from(next_idx) << 32)
+                })
+                .collect()
+        })
+    }
+
+    /// Records a decoded instruction at `addr` without touching the
+    /// words. Builds the hash side table for wide switch tables.
+    fn place(&mut self, addr: CodeAddr, instr: Instr) {
+        debug_assert!(addr.value() >= self.word_base, "placed below the layer");
+        let at = (addr.value() - self.word_base) as usize;
+        if self.addr_index.len() <= at {
+            self.addr_index.resize(at + 1, u32::MAX);
+        }
+        self.addr_index[at] = self.instrs.len() as u32;
+        self.addrs.push(addr.value());
+        let side = match &instr {
+            Instr::SwitchOnConstant { table, .. } if table.len() >= HASH_INDEX_MIN_ENTRIES => {
+                Some(Arc::new(SwitchIndex::for_constants(table)))
+            }
+            Instr::SwitchOnStructure { table, .. } if table.len() >= HASH_INDEX_MIN_ENTRIES => {
+                Some(Arc::new(SwitchIndex::for_structures(table)))
+            }
+            _ => None,
+        };
+        self.switch_index.push(side);
+        self.instrs.push(instr);
+        self.cache = LayerCache::default();
+    }
+
+    /// Encodes `instr` at `addr` (the current end of the layer — layout
+    /// is dense) and places it.
+    fn emit(&mut self, addr: CodeAddr, instr: Instr) {
+        let at = (addr.value() - self.word_base) as usize;
+        let words = self.words_mut();
+        if words.len() < at {
+            words.resize(at, 0);
+        }
+        debug_assert_eq!(words.len(), at, "layout must be dense");
+        instr.encode(words);
+        self.place(addr, instr);
+    }
+
+    /// Appends the layer directly above this one, keeping every address,
+    /// stream index and symbol reference it holds.
+    fn absorb(&mut self, top: CodeLayer) {
+        debug_assert_eq!(top.word_base as usize, self.len_words());
+        debug_assert_eq!(top.index_base, self.index_base + self.instrs.len() as u32);
+        let local_base = self.instrs.len() as u32;
+        let words = self.words_mut();
+        words.extend_from_slice(top.words());
+        let rel_top = (top.word_base - self.word_base) as usize;
+        self.addr_index.resize(rel_top, u32::MAX);
+        self.addr_index.extend(top.addr_index.iter().map(|&i| {
+            if i == u32::MAX {
+                i
+            } else {
+                i + local_base
+            }
+        }));
+        self.addrs.extend_from_slice(&top.addrs);
+        self.switch_index.extend(top.switch_index);
+        let instrs = self.instrs.force_mut();
+        match top.instrs {
+            CodeStore::Eager(v) => instrs.extend(v),
+            lazy @ CodeStore::Lazy(_) => instrs.extend(lazy.iter().cloned()),
+        }
+        self.entries.extend(top.entries);
+        self.sizes.extend(top.sizes);
+        self.warnings.extend(top.warnings);
+        self.static_data.extend(top.static_data);
+        self.cache = LayerCache::default();
+    }
+}
+
 /// A linked, loaded code image.
 ///
 /// Holds both representations of the code: the encoded 64-bit words (what
 /// the code cache and the size accounting see) and the decoded
 /// instructions at their word addresses (what the simulator executes).
+///
+/// An image is two layers: a frozen base behind an [`Arc`] and a small
+/// owned top. Linking appends to the top; [`CodeImage::freeze`] merges
+/// the top into the base. Cloning copies only the top, so a query image
+/// — the program's frozen image plus a `$query` predicate in its top —
+/// costs what the query costs, not what the program does. Reads fall
+/// through from top to base, and an entry in the top shadows the same
+/// entry in the base. The in-place mutations ([`CodeImage::assert_fact_clause`]
+/// and friends) freeze first and patch the base, copying it when it is
+/// shared.
 ///
 /// After an in-place table patch that *grows* a switch table
 /// ([`CodeImage::assert_fact_clause`]), the encoded words at that switch's
@@ -362,27 +599,102 @@ impl WordStore {
 /// their (fixed-size) site in place.
 #[derive(Debug, Clone)]
 pub struct CodeImage {
-    instrs: CodeStore,
-    /// Word address of each instruction in `instrs` (sorted).
-    addrs: Vec<u32>,
-    /// Dense map word address → index into `instrs` (`u32::MAX` = not an
-    /// instruction start). Dense because the machine consults it on every
-    /// fetch.
-    addr_index: Vec<u32>,
-    /// Link-time hash side table, parallel to `instrs`: wide
-    /// `switch_on_constant` / `switch_on_structure` tables get an
-    /// open-addressing index here so dispatch is O(1) instead of a
-    /// linear scan. `Arc` so per-query image clones share the tables.
-    switch_index: Vec<Option<Arc<SwitchIndex>>>,
-    words: WordStore,
-    entries: HashMap<(String, u8), CodeAddr>,
-    sizes: Vec<PredSize>,
-    warnings: Vec<String>,
+    base: Arc<CodeLayer>,
+    top: CodeLayer,
     query_vars: Vec<String>,
     aux_round: u32,
     options: CompileOptions,
-    static_data: Vec<Word>,
     static_base: VAddr,
+}
+
+/// The native tier's dispatch view of one image: per layer, the decoded
+/// instructions, the resolved fall-through table and the address index.
+///
+/// The hot loop runs inside one layer at a time, in that layer's local
+/// stream indices, exactly as over a flat image; only when control
+/// leaves the layer does it pick the next one ([`Dispatch::layer_of`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Dispatch<'a> {
+    layers: [DispatchLayer<'a>; 2],
+    /// First word address of the top layer.
+    split_words: u32,
+}
+
+/// One layer of a [`Dispatch`] view.
+///
+/// A fall-through entry packs the address execution reaches when the
+/// instruction does not transfer control (low 32 bits) and that
+/// address's local stream index in the same layer (high 32 bits;
+/// `u32::MAX` when it is not an instruction of this layer — the end of
+/// a base layer, which the layer above may continue — and the caller
+/// must take the checked lookup).
+#[derive(Debug, Clone, Copy)]
+pub struct DispatchLayer<'a> {
+    instrs: CodeView<'a>,
+    next: &'a [u64],
+    addr_index: &'a [u32],
+    word_base: u32,
+    index_base: u32,
+}
+
+/// A layer's decoded instructions, held inline in a [`DispatchLayer`] so
+/// a fetch is one load away from the view.
+#[derive(Debug, Clone, Copy)]
+enum CodeView<'a> {
+    Eager(&'a [Instr]),
+    Lazy(&'a LazyCode),
+}
+
+impl<'a> CodeView<'a> {
+    fn of(store: &'a CodeStore) -> CodeView<'a> {
+        match store {
+            CodeStore::Eager(v) => CodeView::Eager(v),
+            CodeStore::Lazy(l) => CodeView::Lazy(l),
+        }
+    }
+}
+
+impl<'a> Dispatch<'a> {
+    /// The layer holding word address `addr`.
+    #[inline(always)]
+    pub fn layer_of(&self, addr: CodeAddr) -> &DispatchLayer<'a> {
+        &self.layers[usize::from(addr.value() >= self.split_words)]
+    }
+}
+
+impl<'a> DispatchLayer<'a> {
+    /// The local index of the instruction starting at `addr`, if it is
+    /// one of this layer's.
+    #[inline(always)]
+    pub fn local(&self, addr: CodeAddr) -> Option<u32> {
+        let rel = addr.value().wrapping_sub(self.word_base);
+        match self.addr_index.get(rel as usize) {
+            Some(&i) if i != u32::MAX => Some(i),
+            _ => None,
+        }
+    }
+
+    /// The instruction at local index `idx` and its packed fall-through
+    /// entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    #[inline(always)]
+    pub fn fetch(&self, idx: u32) -> (&'a Instr, u64) {
+        let i = idx as usize;
+        let instr = match self.instrs {
+            CodeView::Eager(v) => &v[i],
+            CodeView::Lazy(l) => l.get(i),
+        };
+        (instr, self.next[i])
+    }
+
+    /// The image-wide stream index of local index `idx`.
+    #[inline(always)]
+    pub fn global(&self, idx: u32) -> u32 {
+        self.index_base + idx
+    }
 }
 
 impl CodeImage {
@@ -390,19 +702,65 @@ impl CodeImage {
     /// linker places the stub instructions and pads the stub words.
     pub fn new(options: CompileOptions) -> CodeImage {
         CodeImage {
-            instrs: CodeStore::Eager(Vec::new()),
-            addrs: Vec::new(),
-            addr_index: Vec::new(),
-            switch_index: Vec::new(),
-            words: WordStore::Eager(Vec::new()),
-            entries: HashMap::new(),
-            sizes: Vec::new(),
-            warnings: Vec::new(),
+            base: Arc::new(CodeLayer::empty(0, 0)),
+            top: CodeLayer::empty(0, 0),
             query_vars: Vec::new(),
             aux_round: 0,
             options,
-            static_data: Vec::new(),
             static_base: STATIC_DATA_BASE,
+        }
+    }
+
+    // ----------------------------------------------------------- layers
+
+    /// Merges the top layer into the base, keeping every address, stream
+    /// index and entry. A base this image owns alone takes the top in
+    /// place; an empty base is replaced by the top (a move); a shared base
+    /// is copied first. Afterwards the top is empty, so a clone of the
+    /// image costs O(1).
+    pub fn freeze(&mut self) {
+        if self.top.is_empty() {
+            return;
+        }
+        let top = std::mem::replace(&mut self.top, CodeLayer::empty(0, 0));
+        if self.base.is_empty() && top.word_base == 0 {
+            self.base = Arc::new(top);
+        } else {
+            Arc::make_mut(&mut self.base).absorb(top);
+        }
+        self.top = CodeLayer::above(&self.base);
+    }
+
+    /// The frozen base layer, shared by every clone of this image.
+    pub fn base_layer(&self) -> &Arc<CodeLayer> {
+        &self.base
+    }
+
+    /// Number of instructions in the top layer — what this image holds
+    /// above its shared base (a query image: the query's own code).
+    pub fn top_instrs(&self) -> usize {
+        self.top.instrs.len()
+    }
+
+    /// Runs an in-place mutation on the flat image: freezes, takes sole
+    /// ownership of the base (copying a shared one), drops its derived
+    /// tables, and re-opens an empty top above the result.
+    fn mutate<R>(&mut self, f: impl FnOnce(&mut CodeLayer) -> R) -> R {
+        self.freeze();
+        let base = Arc::make_mut(&mut self.base);
+        base.cache = LayerCache::default();
+        let r = f(base);
+        self.top = CodeLayer::above(&self.base);
+        r
+    }
+
+    /// The layer holding word address `addr`.
+    #[inline]
+    fn layer_of_addr(&self, addr: CodeAddr) -> &CodeLayer {
+        if addr.value() < self.top.word_base {
+            &self.base
+        } else {
+            &self.top
         }
     }
 
@@ -410,31 +768,38 @@ impl CodeImage {
 
     /// The entry address of a predicate, if linked.
     pub fn entry(&self, name: &str, arity: u8) -> Option<CodeAddr> {
-        self.entries.get(&(name.to_owned(), arity)).copied()
+        let key = (name.to_owned(), arity);
+        self.top
+            .entries
+            .get(&key)
+            .or_else(|| self.base.entries.get(&key))
+            .copied()
     }
 
-    /// Every linked entry point, unordered.
+    /// Every linked entry point, unordered (a top-layer entry shadows the
+    /// base's).
     pub fn entries(&self) -> impl Iterator<Item = (&str, u8, CodeAddr)> {
-        self.entries
+        let shadowed = |k: &(String, u8)| self.top.entries.contains_key(k);
+        self.top
+            .entries
             .iter()
+            .chain(self.base.entries.iter().filter(move |(k, _)| !shadowed(k)))
             .map(|((name, arity), addr)| (name.as_str(), *arity, *addr))
     }
 
     /// The decoded instruction starting at `addr`, if any.
     #[inline]
     pub fn instr_at(&self, addr: CodeAddr) -> Option<&Instr> {
-        self.index_of(addr).map(|i| &self.instrs[i as usize])
+        self.layer_of_addr(addr).instr_at(addr)
     }
 
     /// Index into the decoded instruction stream of the instruction
-    /// starting at `addr` (the dense `addr_index` lookup behind
+    /// starting at `addr` (the dense address-index lookup behind
     /// [`CodeImage::instr_at`]).
     #[inline]
     pub fn index_of(&self, addr: CodeAddr) -> Option<u32> {
-        match self.addr_index.get(addr.value() as usize) {
-            Some(&i) if i != u32::MAX => Some(i),
-            _ => None,
-        }
+        let layer = self.layer_of_addr(addr);
+        layer.local(addr).map(|i| layer.index_base + i as u32)
     }
 
     /// The instruction at stream index `idx` (obtained from
@@ -445,7 +810,12 @@ impl CodeImage {
     /// Panics if `idx` is out of range.
     #[inline]
     pub fn instr_at_index(&self, idx: u32) -> &Instr {
-        &self.instrs[idx as usize]
+        let split = self.top.index_base;
+        if idx < split {
+            &self.base.instrs[idx as usize]
+        } else {
+            &self.top.instrs[(idx - split) as usize]
+        }
     }
 
     /// The word address of the instruction at stream index `idx`, if any.
@@ -454,14 +824,19 @@ impl CodeImage {
     /// fall-through dispatch validates its hint with this.
     #[inline]
     pub fn addr_at_index(&self, idx: u32) -> Option<u32> {
-        self.addrs.get(idx as usize).copied()
+        let split = self.top.index_base;
+        if idx < split {
+            self.base.addrs.get(idx as usize).copied()
+        } else {
+            self.top.addrs.get((idx - split) as usize).copied()
+        }
     }
 
-    /// Number of decoded instructions in the stream (valid stream indices
-    /// are `0..num_instrs`).
+    /// Number of decoded instructions in the stream, both layers (valid
+    /// stream indices are `0..num_instrs`).
     #[inline]
     pub fn num_instrs(&self) -> usize {
-        self.instrs.len()
+        self.top.index_base as usize + self.top.instrs.len()
     }
 
     /// The link-time hash index of the switch instruction at stream index
@@ -469,53 +844,61 @@ impl CodeImage {
     /// `switch_on_structure` tables get one).
     #[inline]
     pub fn switch_index(&self, idx: u32) -> Option<&SwitchIndex> {
-        self.switch_index
-            .get(idx as usize)
-            .and_then(|s| s.as_deref())
+        let split = self.top.index_base;
+        let side = if idx < split {
+            self.base.switch_index.get(idx as usize)
+        } else {
+            self.top.switch_index.get((idx - split) as usize)
+        };
+        side.and_then(|s| s.as_deref())
     }
 
-    /// The encoded code words (loader image). An image restored from a
-    /// snapshot materializes them on first access (execution dispatches
-    /// on decoded instructions, never on these words).
-    pub fn words(&self) -> &[u64] {
-        match &self.words {
-            WordStore::Eager(v) => v,
-            WordStore::Lazy { code, len, cache } => {
-                cache.get_or_init(|| code.scatter_words(*len, &self.addrs))
-            }
+    /// The native tier's dispatch view. Each layer's fall-through table
+    /// is built on first use and cached in the layer, so every machine
+    /// loaded with an image over the same base shares the base's table.
+    pub fn dispatch<'a>(&'a self) -> Dispatch<'a> {
+        // An address index never reaches past its layer's words, so the
+        // loop resolves every address to the layer `index_of` does (only
+        // a hostile snapshot places instructions past its words).
+        let view = |layer: &'a CodeLayer| DispatchLayer {
+            instrs: CodeView::of(&layer.instrs),
+            next: layer.resolved_next(),
+            addr_index: &layer.addr_index[..layer.addr_index.len().min(layer.words.len())],
+            word_base: layer.word_base,
+            index_base: layer.index_base,
+        };
+        Dispatch {
+            layers: [view(&self.base), view(&self.top)],
+            split_words: self.top.word_base,
         }
+    }
+
+    /// The encoded code words (loader image), both layers. An image
+    /// restored from a snapshot materializes them on first access
+    /// (execution dispatches on decoded instructions, never on these
+    /// words).
+    pub fn words(&self) -> Cow<'_, [u64]> {
+        concat(self.base.words(), self.top.words())
     }
 
     /// Total code length in words.
     pub fn len_words(&self) -> usize {
-        self.words.len()
-    }
-
-    /// The words image as a mutable vector, materializing a lazy store
-    /// first (any mutation leaves the image eager, like [`CodeStore`]).
-    fn words_mut(&mut self) -> &mut Vec<u64> {
-        if let WordStore::Lazy { code, len, cache } = &self.words {
-            let v = cache
-                .get()
-                .cloned()
-                .unwrap_or_else(|| code.scatter_words(*len, &self.addrs));
-            self.words = WordStore::Eager(v);
-        }
-        match &mut self.words {
-            WordStore::Eager(v) => v,
-            WordStore::Lazy { .. } => unreachable!("just forced eager"),
-        }
+        self.top.len_words()
     }
 
     /// Per-predicate static sizes, in layout order.
-    pub fn sizes(&self) -> &[PredSize] {
-        &self.sizes
+    pub fn sizes(&self) -> impl Iterator<Item = &PredSize> {
+        self.base.sizes.iter().chain(&self.top.sizes)
     }
 
     /// Link warnings (calls to undefined predicates, resolved to a stub
     /// that fails).
-    pub fn warnings(&self) -> &[String] {
-        &self.warnings
+    pub fn warnings(&self) -> impl Iterator<Item = &str> {
+        self.base
+            .warnings
+            .iter()
+            .chain(&self.top.warnings)
+            .map(String::as_str)
     }
 
     /// For query images: the reported variable names, in A1..An order.
@@ -539,10 +922,20 @@ impl CodeImage {
         self.aux_round
     }
 
-    /// The assembled static data area (ground literals) and its base
-    /// address: the loader installs these words before running.
-    pub fn static_data(&self) -> (VAddr, &[Word]) {
-        (self.static_base, &self.static_data)
+    /// The assembled static data area (ground literals, both layers) and
+    /// its base address: the loader installs these words before running.
+    pub fn static_data(&self) -> (VAddr, Cow<'_, [Word]>) {
+        (
+            self.static_base,
+            concat(&self.base.static_data, &self.top.static_data),
+        )
+    }
+
+    /// The static-data address the next ground literal linked into this
+    /// image goes to: right after both layers' literals.
+    pub fn static_end(&self) -> VAddr {
+        let len = self.base.static_data.len() + self.top.static_data.len();
+        self.static_base.offset(len as i64)
     }
 
     /// The decoded instructions of one predicate (by its size record).
@@ -564,106 +957,81 @@ impl CodeImage {
     /// Disassembles the whole image.
     pub fn disassemble(&self, symbols: &SymbolTable) -> String {
         use std::fmt::Write;
-        let mut rev: HashMap<u32, &(String, u8)> = HashMap::new();
-        for (k, v) in &self.entries {
-            rev.insert(v.value(), k);
+        let mut rev: HashMap<u32, (&str, u8)> = HashMap::new();
+        for (name, arity, addr) in self.entries() {
+            rev.insert(addr.value(), (name, arity));
         }
         let mut out = String::new();
-        for (i, instr) in self.instrs.iter().enumerate() {
-            let addr = self.addrs[i];
-            if let Some((name, arity)) = rev.get(&addr) {
-                let _ = writeln!(out, "{name}/{arity}:");
+        for layer in [&*self.base, &self.top] {
+            for (instr, &addr) in layer.instrs.iter().zip(&layer.addrs) {
+                if let Some((name, arity)) = rev.get(&addr) {
+                    let _ = writeln!(out, "{name}/{arity}:");
+                }
+                let text = match instr {
+                    Instr::GetStructure { f, a } => format!(
+                        "get_structure {}/{}, {a}",
+                        symbols.functor_name(*f),
+                        symbols.functor_arity(*f)
+                    ),
+                    Instr::PutStructure { f, a } => format!(
+                        "put_structure {}/{}, {a}",
+                        symbols.functor_name(*f),
+                        symbols.functor_arity(*f)
+                    ),
+                    other => other.to_string(),
+                };
+                let _ = writeln!(out, "  {addr:6}  {text}");
             }
-            let text = match instr {
-                Instr::GetStructure { f, a } => format!(
-                    "get_structure {}/{}, {a}",
-                    symbols.functor_name(*f),
-                    symbols.functor_arity(*f)
-                ),
-                Instr::PutStructure { f, a } => format!(
-                    "put_structure {}/{}, {a}",
-                    symbols.functor_name(*f),
-                    symbols.functor_arity(*f)
-                ),
-                other => other.to_string(),
-            };
-            let _ = writeln!(out, "  {addr:6}  {text}");
         }
         out
     }
 
     // ---------------------------------------------------------- builder
 
-    /// Records a decoded instruction at `addr` without touching the words
-    /// image (the stub words, for example, stay zero). Builds the hash
-    /// side table for wide switch tables.
+    /// Records a decoded instruction at `addr` in the top layer without
+    /// touching the words (the stub words, for example, stay zero).
+    /// Builds the hash side table for wide switch tables.
     pub fn place(&mut self, addr: CodeAddr, instr: Instr) {
-        let at = addr.value() as usize;
-        if self.addr_index.len() <= at {
-            self.addr_index.resize(at + 1, u32::MAX);
-        }
-        self.addr_index[at] = self.instrs.len() as u32;
-        self.addrs.push(addr.value());
-        let side = match &instr {
-            Instr::SwitchOnConstant { table, .. } if table.len() >= HASH_INDEX_MIN_ENTRIES => {
-                Some(Arc::new(SwitchIndex::for_constants(table)))
-            }
-            Instr::SwitchOnStructure { table, .. } if table.len() >= HASH_INDEX_MIN_ENTRIES => {
-                Some(Arc::new(SwitchIndex::for_structures(table)))
-            }
-            _ => None,
-        };
-        self.switch_index.push(side);
-        self.instrs.push(instr);
+        self.top.place(addr, instr);
     }
 
-    /// Encodes `instr` into the words image at `addr` (which must be the
-    /// current end of the words image — layout is dense) and places it.
+    /// Encodes `instr` into the top layer's words at `addr` (which must
+    /// be the current end of the image — layout is dense) and places it.
     ///
     /// # Panics
     ///
     /// Debug-asserts dense layout.
     pub fn emit(&mut self, addr: CodeAddr, instr: Instr) {
-        let at = addr.value() as usize;
-        let words = self.words_mut();
-        if words.len() < at {
-            words.resize(at, 0);
-        }
-        debug_assert_eq!(words.len(), at, "layout must be dense");
-        instr.encode(words);
-        self.place(addr, instr);
+        self.top.emit(addr, instr);
     }
 
-    /// Pads the words image with zeros up to `len` words (stub area).
+    /// Pads the image with zero words up to `len` words (stub area).
     pub fn pad_words_to(&mut self, len: usize) {
-        if self.words.len() < len {
-            self.words_mut().resize(len, 0);
+        if self.len_words() < len {
+            let rel = len - self.top.word_base as usize;
+            self.top.words_mut().resize(rel, 0);
         }
     }
 
-    /// Registers (or replaces) a predicate entry point.
+    /// Registers (or replaces) a predicate entry point. The entry lands
+    /// in the top layer, shadowing any base entry of the same predicate.
     pub fn set_entry(&mut self, name: String, arity: u8, addr: CodeAddr) {
-        self.entries.insert((name, arity), addr);
-    }
-
-    /// Drops every entry the predicate-name filter rejects.
-    pub fn retain_entries(&mut self, mut keep: impl FnMut(&str, u8) -> bool) {
-        self.entries.retain(|(name, arity), _| keep(name, *arity));
+        self.top.entries.insert((name, arity), addr);
     }
 
     /// Removes one entry, returning its old address.
     pub fn remove_entry(&mut self, name: &str, arity: u8) -> Option<CodeAddr> {
-        self.entries.remove(&(name.to_owned(), arity))
+        self.mutate(|flat| flat.entries.remove(&(name.to_owned(), arity)))
     }
 
     /// Appends a predicate-size record.
     pub fn push_size(&mut self, size: PredSize) {
-        self.sizes.push(size);
+        self.top.sizes.push(size);
     }
 
     /// Appends a link warning.
     pub fn push_warning(&mut self, warning: String) {
-        self.warnings.push(warning);
+        self.top.warnings.push(warning);
     }
 
     /// Sets the reported query-variable names (query images).
@@ -677,23 +1045,83 @@ impl CodeImage {
         self.aux_round
     }
 
-    /// Takes the static data area for extension (see
-    /// [`CodeImage::set_static_data`]).
-    pub fn take_static_data(&mut self) -> Vec<Word> {
-        std::mem::take(&mut self.static_data)
-    }
-
-    /// Restores the (extended) static data area.
-    pub fn set_static_data(&mut self, words: Vec<Word>) {
-        self.static_data = words;
+    /// Appends ground-literal words at [`CodeImage::static_end`].
+    pub fn extend_static_data(&mut self, words: Vec<Word>) {
+        self.top.static_data.extend(words);
     }
 
     // -------------------------------------------- incremental mutation
 
-    /// Appends `instr` at the end of the code image, keeping the words
+    /// Appends one already-compiled fact clause to a constant-keyed fact
+    /// predicate and patches its dispatch structures in place: the
+    /// variable chain always gains the clause at the end (source order),
+    /// and the first-level — and, under a depth-2 bucket, second-level —
+    /// constant switch tables gain or extend the clause's key.
+    ///
+    /// `entry` is the predicate's entry address, `key1`/`key2` the
+    /// clause's first/second-argument constants (`key2` only consulted
+    /// when the first-level bucket dispatches on A2), and `clause` the
+    /// compiled clause code (straight-line, as compiled for a multi-clause
+    /// chain).
+    ///
+    /// # Errors
+    ///
+    /// [`PatchError::Unsupported`] when the predicate's compiled shape
+    /// doesn't qualify; the image's contents are unchanged in that case
+    /// and the caller should recompile the predicate instead.
+    pub fn assert_fact_clause(
+        &mut self,
+        entry: CodeAddr,
+        key1: Word,
+        key2: Option<Word>,
+        clause: &[Instr],
+    ) -> Result<(), PatchError> {
+        self.mutate(|flat| flat.assert_fact_clause(entry, key1, key2, clause))
+    }
+
+    /// Tombstones the first clause of a constant-keyed fact predicate
+    /// whose code matches `clause` exactly: its first instruction becomes
+    /// `fail`, which every dispatch path (tables, chain blocks, the
+    /// variable chain) reaches and backtracks through. Returns whether a
+    /// clause was removed.
+    ///
+    /// # Errors
+    ///
+    /// [`PatchError::Unsupported`] when the predicate's compiled shape
+    /// doesn't qualify (the caller should recompile instead).
+    pub fn retract_fact_clause(
+        &mut self,
+        entry: CodeAddr,
+        clause: &[Instr],
+    ) -> Result<bool, PatchError> {
+        self.mutate(|flat| flat.retract_fact_clause(entry, clause))
+    }
+
+    /// Repoints every `call`/`execute` site targeting `old` to `new`,
+    /// re-encoding each (one-word) site, and returns how many were
+    /// patched. This is how a predicate recompiled at the end of the
+    /// image takes over from its previous code.
+    pub fn retarget_calls(&mut self, old: CodeAddr, new: CodeAddr) -> usize {
+        self.mutate(|flat| flat.retarget_calls(old, new))
+    }
+}
+
+/// Both layers' slices as one: borrowed when either is empty.
+fn concat<'a, T: Clone>(base: &'a [T], top: &'a [T]) -> Cow<'a, [T]> {
+    match (base.is_empty(), top.is_empty()) {
+        (_, true) => Cow::Borrowed(base),
+        (true, false) => Cow::Borrowed(top),
+        (false, false) => Cow::Owned([base, top].concat()),
+    }
+}
+
+// The in-place patchers work on a flat layer: the image's base after
+// `CodeImage::mutate` froze it (word and stream indices start at zero).
+impl CodeLayer {
+    /// Appends `instr` at the end of the layer, keeping the words
     /// image in sync, and returns its address.
     fn append_instr(&mut self, instr: Instr) -> CodeAddr {
-        let addr = CodeAddr::new(self.words.len() as u32);
+        let addr = CodeAddr::new(self.len_words() as u32);
         self.emit(addr, instr);
         addr
     }
@@ -703,8 +1131,8 @@ impl CodeImage {
     /// encoding). Table switches are left to their caller, which knows
     /// whether the site still fits.
     fn patch_instr(&mut self, addr: CodeAddr, instr: Instr) {
-        let idx = self.index_of(addr).expect("patching a placed instruction");
-        let old_words = self.instrs[idx as usize].size_words();
+        let idx = self.local(addr).expect("patching a placed instruction");
+        let old_words = self.instrs[idx].size_words();
         let new_words = instr.size_words();
         if old_words == new_words
             && !matches!(
@@ -717,7 +1145,7 @@ impl CodeImage {
             let at = addr.value() as usize;
             self.words_mut()[at..at + new_words].copy_from_slice(&enc);
         }
-        self.instrs[idx as usize] = instr;
+        self.instrs[idx] = instr;
     }
 
     /// Walks a `try_me_else` / `retry_me_else`* / `trust_me` chain from
@@ -806,7 +1234,7 @@ impl CodeImage {
     /// patches an existing key's target or appends a new key, keeping the
     /// hash side table (and its probe-accounting ordinals) consistent.
     /// `existing` maps a present key's current target through
-    /// [`CodeImage::extended_target`]; an absent key dispatches straight
+    /// [`CodeLayer::extended_target`]; an absent key dispatches straight
     /// to the new clause.
     fn upsert_constant_key(
         &mut self,
@@ -814,9 +1242,9 @@ impl CodeImage {
         key: Word,
         c_new: CodeAddr,
     ) -> Result<(), PatchError> {
-        let idx =
-            self.index_of(table_addr)
-                .ok_or_else(|| unsup("constant table is not an instruction"))? as usize;
+        let idx = self
+            .local(table_addr)
+            .ok_or_else(|| unsup("constant table is not an instruction"))?;
         let (ordinal, old_target) = {
             let Instr::SwitchOnConstant { default, table, .. } = &self.instrs[idx] else {
                 return Err(unsup("expected switch_on_constant"));
@@ -870,24 +1298,10 @@ impl CodeImage {
         Ok(())
     }
 
-    /// Appends one already-compiled fact clause to a constant-keyed fact
-    /// predicate and patches its dispatch structures in place: the
-    /// variable chain always gains the clause at the end (source order),
-    /// and the first-level — and, under a depth-2 bucket, second-level —
-    /// constant switch tables gain or extend the clause's key.
-    ///
-    /// `entry` is the predicate's entry address, `key1`/`key2` the
-    /// clause's first/second-argument constants (`key2` only consulted
-    /// when the first-level bucket dispatches on A2), and `clause` the
-    /// compiled clause code (straight-line, as compiled for a multi-clause
-    /// chain).
-    ///
-    /// # Errors
-    ///
-    /// [`PatchError::Unsupported`] when the predicate's compiled shape
-    /// doesn't qualify; the image is unchanged in that case and the caller
-    /// should recompile the predicate instead.
-    pub fn assert_fact_clause(
+    /// [`CodeImage::assert_fact_clause`] on the flat layer. Every structure
+    /// walk happens before the first write, so an unsupported shape
+    /// leaves the layer untouched.
+    fn assert_fact_clause(
         &mut self,
         entry: CodeAddr,
         key1: Word,
@@ -945,9 +1359,8 @@ impl CodeImage {
         let mut depth2: Option<(CodeAddr, CodeAddr, CodeAddr, Vec<CodeAddr>)> = None;
         if let ConstPlan::Table(table_addr) = &plan {
             let idx = self
-                .index_of(*table_addr)
-                .ok_or_else(|| unsup("constant table is not an instruction"))?
-                as usize;
+                .local(*table_addr)
+                .ok_or_else(|| unsup("constant table is not an instruction"))?;
             let Instr::SwitchOnConstant { default, table, .. } = &self.instrs[idx] else {
                 return Err(unsup("expected switch_on_constant"));
             };
@@ -1003,10 +1416,10 @@ impl CodeImage {
         // --- mutate ---
         // 1. Extend the variable chain: patch its trust_me into a
         //    retry_me_else aimed at a fresh trust_me, then lay the clause.
-        let new_trust = CodeAddr::new(self.words.len() as u32);
+        let new_trust = CodeAddr::new(self.len_words() as u32);
         self.patch_instr(trust_at, Instr::RetryMeElse { alt: new_trust });
         self.append_instr(Instr::TrustMe);
-        let c_new = CodeAddr::new(self.words.len() as u32);
+        let c_new = CodeAddr::new(self.len_words() as u32);
         for i in clause {
             self.append_instr(i.clone());
         }
@@ -1045,7 +1458,7 @@ impl CodeImage {
                 }
                 None => {
                     let old = {
-                        let idx = self.index_of(table_addr).expect("checked above") as usize;
+                        let idx = self.local(table_addr).expect("checked above");
                         let Instr::SwitchOnConstant { table, .. } = &self.instrs[idx] else {
                             unreachable!("checked above");
                         };
@@ -1069,17 +1482,8 @@ impl CodeImage {
         Ok(())
     }
 
-    /// Tombstones the first clause of a constant-keyed fact predicate
-    /// whose code matches `clause` exactly: its first instruction becomes
-    /// `fail`, which every dispatch path (tables, chain blocks, the
-    /// variable chain) reaches and backtracks through. Returns whether a
-    /// clause was removed.
-    ///
-    /// # Errors
-    ///
-    /// [`PatchError::Unsupported`] when the predicate's compiled shape
-    /// doesn't qualify (the caller should recompile instead).
-    pub fn retract_fact_clause(
+    /// [`CodeImage::retract_fact_clause`] on the flat layer.
+    fn retract_fact_clause(
         &mut self,
         entry: CodeAddr,
         clause: &[Instr],
@@ -1116,11 +1520,8 @@ impl CodeImage {
         Ok(false)
     }
 
-    /// Repoints every `call`/`execute` site targeting `old` to `new`,
-    /// re-encoding each (one-word) site, and returns how many were
-    /// patched. This is how a predicate recompiled at the end of the
-    /// image takes over from its previous code.
-    pub fn retarget_calls(&mut self, old: CodeAddr, new: CodeAddr) -> usize {
+    /// [`CodeImage::retarget_calls`] on the flat layer.
+    fn retarget_calls(&mut self, old: CodeAddr, new: CodeAddr) -> usize {
         let mut patched = 0;
         for i in 0..self.instrs.len() {
             let replacement = match &self.instrs[i] {
@@ -1139,7 +1540,7 @@ impl CodeImage {
             replacement.encode(&mut enc);
             // Stub-area sites keep zero words (they are never fetched
             // as encoded words); everything else re-encodes in place.
-            if at + enc.len() <= self.words.len() && at >= CODE_BASE as usize {
+            if at + enc.len() <= self.len_words() && at >= CODE_BASE as usize {
                 self.words_mut()[at..at + enc.len()].copy_from_slice(&enc);
             }
             self.instrs[i] = replacement;
@@ -1160,10 +1561,13 @@ impl CodeImage {
         }
         true
     }
+}
 
-    // ------------------------------------------------- snapshot support
+// ----------------------------------------------------- snapshot support
 
-    /// Deconstructed borrow of every field, for the snapshot writer.
+impl CodeImage {
+    /// Deconstructed borrow of every field of a frozen image, for the
+    /// snapshot writer (which freezes a copy of a layered image first).
     #[allow(clippy::type_complexity)]
     pub(crate) fn parts(
         &self,
@@ -1181,24 +1585,31 @@ impl CodeImage {
         &[Word],
         VAddr,
     ) {
+        debug_assert!(self.top.is_empty(), "snapshot of an unfrozen image");
+        let b = &*self.base;
         (
-            &self.instrs,
-            &self.addrs,
-            &self.switch_index,
-            self.words(),
-            &self.entries,
-            &self.sizes,
-            &self.warnings,
+            &b.instrs,
+            &b.addrs,
+            &b.switch_index,
+            b.words(),
+            &b.entries,
+            &b.sizes,
+            &b.warnings,
             &self.query_vars,
             self.aux_round,
             &self.options,
-            &self.static_data,
+            &b.static_data,
             self.static_base,
         )
     }
 
-    /// Reassembles an image from restored parts, rebuilding the dense
-    /// address index (cheap and fully determined by `addrs`).
+    /// Whether the image has code, entries or data above its base.
+    pub(crate) fn is_layered(&self) -> bool {
+        !self.top.is_empty()
+    }
+
+    /// Reassembles a frozen image from restored parts, rebuilding the
+    /// dense address index (cheap and fully determined by `addrs`).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         instrs: CodeStore,
@@ -1236,7 +1647,9 @@ impl CodeImage {
             }
             out
         });
-        CodeImage {
+        let base = CodeLayer {
+            word_base: 0,
+            index_base: 0,
             instrs,
             addrs,
             addr_index,
@@ -1245,10 +1658,16 @@ impl CodeImage {
             entries,
             sizes,
             warnings,
+            static_data,
+            cache: LayerCache::default(),
+        };
+        let top = CodeLayer::above(&base);
+        CodeImage {
+            base: Arc::new(base),
+            top,
             query_vars,
             aux_round,
             options,
-            static_data,
             static_base,
         }
     }

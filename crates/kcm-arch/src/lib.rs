@@ -48,11 +48,13 @@ pub mod word;
 pub mod zone;
 
 pub use addr::{CodeAddr, PageNumber, VAddr, PAGE_SIZE_WORDS, VADDR_BITS};
-pub use image::{CodeImage, CompileOptions, PatchError, PredId, PredSize};
+pub use image::{
+    CodeImage, CodeLayer, CompileOptions, Dispatch, DispatchLayer, PatchError, PredId, PredSize,
+};
 pub use isa::{Builtin, Cond, Instr, Reg};
 pub use snapshot::SnapshotError;
 pub use swindex::SwitchIndex;
-pub use symbol::{AtomId, FunctorId, SymbolTable};
+pub use symbol::{AtomId, FunctorId, SymbolLayer, SymbolTable};
 pub use tag::Tag;
 pub use timing::CostModel;
 pub use word::Word;

@@ -220,6 +220,16 @@ impl Writer {
 /// Serializes a linked image and its symbol table to a self-contained
 /// snapshot artifact.
 pub fn save(image: &CodeImage, symbols: &SymbolTable) -> Vec<u8> {
+    // The format is flat: a layered image is written as its frozen copy.
+    let frozen;
+    let image = if image.is_layered() {
+        let mut copy = image.clone();
+        copy.freeze();
+        frozen = copy;
+        &frozen
+    } else {
+        image
+    };
     let (
         instrs,
         addrs,
@@ -250,11 +260,11 @@ pub fn save(image: &CodeImage, symbols: &SymbolTable) -> Vec<u8> {
     w.u8(options.depth2_facts as u8);
 
     // Symbols.
-    w.u64(symbols.raw_atoms().len() as u64);
+    w.u64(symbols.atom_count() as u64);
     for atom in symbols.raw_atoms() {
         w.str(atom);
     }
-    w.u64(symbols.raw_functors().len() as u64);
+    w.u64(symbols.functor_count() as u64);
     for (atom, arity) in symbols.raw_functors() {
         w.u32(atom.index() as u32);
         w.u8(*arity);

@@ -46,16 +46,6 @@ impl StaticImage {
         }
     }
 
-    /// Resumes an area already holding `words` (query linking extends the
-    /// base image's data).
-    pub fn resume(base: VAddr, words: Vec<Word>) -> StaticImage {
-        StaticImage {
-            base,
-            words,
-            interned: std::collections::HashMap::new(),
-        }
-    }
-
     /// The assembled words.
     pub fn into_words(self) -> Vec<Word> {
         self.words
@@ -149,6 +139,9 @@ impl Linker {
     ) -> Result<CodeImage, CompileError> {
         let mut image = Self::image_with_stubs(options.clone(), true);
         Self::link_into(&mut image, program, symbols)?;
+        // A fresh image's base is empty, so this is a move: queries linked
+        // against the result share all of it.
+        image.freeze();
         Ok(image)
     }
 
@@ -179,6 +172,12 @@ impl Linker {
     /// Extends `base` with a `$query/0` predicate for `goal`; returns the
     /// extended image and the reported variable names.
     ///
+    /// The query's code, entries and static literals go into the top
+    /// layer of a clone of `base`, which shares `base`'s frozen layer: the
+    /// work and memory are the query's, whatever the program's size. A
+    /// `$query` entry already in `base` (re-querying a query image) is
+    /// shadowed by the new one.
+    ///
     /// # Errors
     ///
     /// Propagates compilation errors; rejects queries with more than 16
@@ -192,12 +191,10 @@ impl Linker {
         if vars.len() > crate::clause::MAX_ARITY {
             return Err(CompileError::TooManyQueryVars(vars.len()));
         }
+        // Copies only `base`'s top layer. Dead code of an earlier query
+        // stays, as in a real incremental loader.
         let mut image = base.clone();
         let round = image.bump_aux_round();
-        // Remove any previous query linkage so re-querying the same image
-        // works (entries are replaced; dead code words stay, as in a real
-        // incremental loader).
-        image.retain_entries(|name, _| name != "$query");
 
         let report = if vars.is_empty() {
             Term::Atom("$report".into())
@@ -230,8 +227,7 @@ impl Linker {
         let mut start = image.len_words() as u32;
         let mut compiled: Vec<(&crate::ir::Predicate, Vec<AsmItem>, CodeAddr)> = Vec::new();
         let options = image.options().clone();
-        let (static_base, _) = image.static_data();
-        let mut statics = StaticImage::resume(static_base, image.take_static_data());
+        let mut statics = StaticImage::new(image.static_end());
         for pred in &program.predicates {
             let items = compile_predicate(pred, symbols, &mut statics, &options)?;
             let size: usize = items.iter().map(AsmItem::size_words).sum();
@@ -281,7 +277,7 @@ impl Linker {
                 end: image.len_words() as u32,
             });
         }
-        image.set_static_data(statics.into_words());
+        image.extend_static_data(statics.into_words());
         Ok(())
     }
 }
@@ -471,20 +467,20 @@ mod tests {
             Some(Instr::Execute { addr, arity: 0 }) => assert_eq!(*addr, q),
             other => panic!("expected execute, got {other:?}"),
         }
-        assert!(image.warnings().is_empty());
+        assert!(image.warnings().next().is_none());
     }
 
     #[test]
     fn forward_references_link() {
         // p calls q which is defined later in the file.
         let (image, _) = link("p :- q, r. q. r.");
-        assert!(image.warnings().is_empty());
+        assert!(image.warnings().next().is_none());
     }
 
     #[test]
     fn undefined_predicates_warn_and_stub() {
         let (image, _) = link("p :- missing.");
-        assert_eq!(image.warnings().len(), 1);
+        assert_eq!(image.warnings().count(), 1);
         let p = image.entry("p", 0).unwrap();
         match image.instr_at(p) {
             Some(Instr::Execute { addr, .. }) => assert_eq!(*addr, UNKNOWN_STUB),
@@ -509,7 +505,7 @@ mod tests {
     #[test]
     fn sizes_are_recorded() {
         let (image, _) = link("app([], L, L). app([H|T], L, [H|R]) :- app(T, L, R).");
-        let s = &image.sizes()[0];
+        let s = image.sizes().next().unwrap();
         assert_eq!(s.id.name, "app");
         assert!(s.instrs > 5);
         assert!(s.words > s.instrs, "switch makes words exceed instrs");
@@ -535,6 +531,36 @@ mod tests {
         let (q2, vars) = Linker::link_query(&q1, &g2, &mut symbols).unwrap();
         assert_ne!(q2.query_entry().unwrap(), e1);
         assert_eq!(vars, vec!["Y".to_owned()]);
+    }
+
+    #[test]
+    fn query_linking_overlays_the_shared_base() {
+        let src: String = (0..200).map(|i| format!("p(k{i}). ")).collect();
+        let (image, mut symbols) = link(&src);
+        assert_eq!(image.top_instrs(), 0, "a linked program is frozen");
+        let g1 = read_term("p(k7)").unwrap();
+        let (q1, _) = Linker::link_query(&image, &g1, &mut symbols).unwrap();
+        let g2 = read_term("p(X), p(k9)").unwrap();
+        let (q2, _) = Linker::link_query(&q1, &g2, &mut symbols).unwrap();
+        for q in [&q1, &q2] {
+            assert!(std::sync::Arc::ptr_eq(q.base_layer(), image.base_layer()));
+            assert!(q.top_instrs() < 40, "top holds only query code");
+            assert_eq!(q.num_instrs(), image.num_instrs() + q.top_instrs());
+        }
+        // Reads resolve through both layers.
+        let e = q2.query_entry().unwrap();
+        assert!(e.value() as usize >= image.len_words());
+        let idx = q2.index_of(e).unwrap();
+        assert!(idx as usize >= image.num_instrs());
+        assert_eq!(q2.addr_at_index(idx), Some(e.value()));
+        assert_eq!(q2.instr_at(e), Some(q2.instr_at_index(idx)));
+        assert_eq!(q2.entry("p", 1), image.entry("p", 1));
+        assert!(q2.sizes().count() > q1.sizes().count());
+        assert_eq!(
+            q1.sizes().count(),
+            image.sizes().count() + 1,
+            "just $query/0"
+        );
     }
 
     #[test]

@@ -24,7 +24,9 @@ use crate::profile::{InstrClass, Profile, TraceEvent, Tracer};
 use crate::regfile::RegisterFile;
 use kcm_arch::isa::{AluOp, Cond, Instr, Reg};
 use kcm_arch::timing::Cycles;
-use kcm_arch::{CodeAddr, CostModel, SymbolTable, Tag, VAddr, Word, Zone, ZoneLimits};
+use kcm_arch::{
+    CodeAddr, CostModel, Dispatch, DispatchLayer, SymbolTable, Tag, VAddr, Word, Zone, ZoneLimits,
+};
 use kcm_compiler::CodeImage;
 use kcm_mem::{DataMem, MemConfig, MemFault, MemStats, MemorySystem, ZoneFault};
 use kcm_prolog::Term;
@@ -428,16 +430,6 @@ pub struct Machine<M: DataMem = MemorySystem> {
     /// image before use, so a stale hint is never wrong, just a miss.
     ft_addr: u32,
     ft_index: u32,
-    /// Resolved-dispatch side table for the native tier: per stream
-    /// index, the fall-through address (`addr + size`, low 32 bits) and
-    /// its stream index (high 32 bits; `u32::MAX` when the fall-through
-    /// lands on no instruction), packed into one word so the hot loop
-    /// pays a single load and a single bounds check per step. Built once
-    /// per image — `resolved_key` identifies the image it was derived
-    /// from — so the native hot loop never recomputes instruction sizes
-    /// or validates fall-through hints. Empty on the simulated tier.
-    resolved_key: usize,
-    resolved_next: Vec<u64>,
     /// Scratch stack reused across unifications (unification is the
     /// single most frequent operation; a fresh allocation per call would
     /// dominate its host cost). Taken while a unification runs, so a
@@ -540,8 +532,6 @@ impl<M: DataMem> Machine<M> {
             profile: Vec::new(),
             ft_addr: u32::MAX,
             ft_index: u32::MAX,
-            resolved_key: 0,
-            resolved_next: Vec::new(),
             unify_stack: Vec::new(),
             occurs_stack: Vec::new(),
             query_vars: Vec::new(),
@@ -555,43 +545,20 @@ impl<M: DataMem> Machine<M> {
         };
         m.install_static_data();
         if !M::SIMULATED {
-            // Build the resolved-dispatch tables at load time, off the
-            // query path (a service measures the run, not the loader).
-            m.ensure_resolved_dispatch();
+            // Build (or find cached in the image's layers) the native
+            // dispatch tables at load time, off the query path: O(query)
+            // for a query over an already-dispatched program.
+            m.image.dispatch();
         }
         m
-    }
-
-    /// (Re)builds the native tier's resolved-dispatch tables if the
-    /// loaded image is not the one they were derived from.
-    fn ensure_resolved_dispatch(&mut self) {
-        let key = Arc::as_ptr(&self.image) as usize;
-        if self.resolved_key == key {
-            return;
-        }
-        let image = Arc::clone(&self.image);
-        let n = image.num_instrs();
-        self.resolved_next.clear();
-        self.resolved_next.reserve(n);
-        for idx in 0..n as u32 {
-            let addr = image.addr_at_index(idx).expect("index in range");
-            let size = image.instr_at_index(idx).size_words() as u32;
-            let next = addr + size;
-            let next_idx = image.index_of(CodeAddr::new(next)).unwrap_or(u32::MAX);
-            self.resolved_next
-                .push(u64::from(next) | (u64::from(next_idx) << 32));
-        }
-        self.resolved_key = key;
     }
 
     /// Loader step: copies the image's static data area into machine
     /// memory and write-protects the static zone (§3.2.3: "each zone may
     /// be write-protected").
     fn install_static_data(&mut self) {
-        let (base, words) = {
-            let (b, w) = self.image.static_data();
-            (b, w.to_vec())
-        };
+        let image = Arc::clone(&self.image);
+        let (base, words) = image.static_data();
         for (i, w) in words.iter().enumerate() {
             self.mem
                 .poke(base.offset(i as i64), *w)
@@ -619,10 +586,6 @@ impl<M: DataMem> Machine<M> {
         self.mem.invalidate_code_cache();
         self.ft_addr = u32::MAX;
         self.ft_index = u32::MAX;
-        self.resolved_key = 0;
-        if !M::SIMULATED {
-            self.ensure_resolved_dispatch();
-        }
     }
 
     /// Runs the image's `$query/0` entry. `enumerate_all` makes the
@@ -800,13 +763,10 @@ impl<M: DataMem> Machine<M> {
         let image = Arc::clone(&self.image);
         if !M::SIMULATED && self.cfg.fast_paths && self.cfg.trace_depth == 0 {
             // Native tier: the resolved-dispatch loop (pre-computed
-            // instruction sizes and fall-through indices; no clock, no
-            // fuel gauge, no macrocode trace window).
-            self.ensure_resolved_dispatch();
-            let resolved = std::mem::take(&mut self.resolved_next);
-            let r = self.run_resolved(&image, &resolved, start_instructions);
-            self.resolved_next = resolved;
-            r
+            // instruction sizes and fall-through indices, cached in the
+            // image's layers; no clock, no fuel gauge, no macrocode trace
+            // window).
+            self.run_resolved(&image, image.dispatch(), start_instructions)
         } else {
             while self.halted.is_none() && !self.yielded {
                 self.step_in(&image)?;
@@ -829,7 +789,7 @@ impl<M: DataMem> Machine<M> {
 
     /// The native tier's hot loop: enum dispatch over the decoded stream
     /// with pre-resolved instruction sizes and fall-through indices (the
-    /// side tables built by [`Machine::ensure_resolved_dispatch`]).
+    /// image's [`CodeImage::dispatch`] view), one layer at a time.
     /// Observable behaviour — execution order, retired-instruction
     /// counting, the step budget's trip point, every error class — is
     /// identical to the generic loop; only the per-step bookkeeping the
@@ -838,39 +798,57 @@ impl<M: DataMem> Machine<M> {
     fn run_resolved(
         &mut self,
         image: &CodeImage,
-        resolved: &[u64],
+        resolved: Dispatch<'_>,
         start_instructions: u64,
     ) -> Result<(), MachineError> {
-        let step_budget = self.cfg.step_budget;
-        let mut idx = match image.index_of(self.p) {
-            Some(i) => i,
-            None => return Err(MachineError::BadCodeAddress(self.p)),
-        };
         loop {
-            let instr = image.instr_at_index(idx);
+            let layer = resolved.layer_of(self.p);
+            let Some(idx) = layer.local(self.p) else {
+                return Err(MachineError::BadCodeAddress(self.p));
+            };
+            if self.run_layer(image, layer, idx, start_instructions)? {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Runs from local index `idx` of `layer` until the machine halts or
+    /// yields (`true`) or control reaches an address that is not one of
+    /// the layer's instructions (`false`). The layer is loop-invariant,
+    /// so a step costs what it costs over a flat image.
+    #[inline(always)]
+    fn run_layer(
+        &mut self,
+        image: &CodeImage,
+        layer: &DispatchLayer<'_>,
+        mut idx: u32,
+        start_instructions: u64,
+    ) -> Result<bool, MachineError> {
+        let step_budget = self.cfg.step_budget;
+        loop {
+            let (instr, packed) = layer.fetch(idx);
             self.stats.instructions += 1;
-            let packed = resolved[idx as usize];
             let np = packed as u32;
             self.p = CodeAddr::new(np);
-            self.exec_body(instr, image, idx)?;
+            self.exec_body(instr, image, layer.global(idx))?;
             if self.stats.instructions - start_instructions > step_budget {
                 return Err(MachineError::BudgetExhausted {
                     steps: self.stats.instructions - start_instructions,
                 });
             }
             if self.halted.is_some() || self.yielded {
-                return Ok(());
+                return Ok(true);
             }
-            idx = if self.p.value() == np {
-                let ni = (packed >> 32) as u32;
-                if ni == u32::MAX {
-                    return Err(MachineError::BadCodeAddress(self.p));
-                }
+            let ni = (packed >> 32) as u32;
+            // A fall-through the table cannot vouch for (`u32::MAX`: the
+            // end of a layer, which the layer above may continue) takes
+            // the checked lookup like any taken transfer.
+            idx = if self.p.value() == np && ni != u32::MAX {
                 ni
             } else {
-                match image.index_of(self.p) {
+                match layer.local(self.p) {
                     Some(i) => i,
-                    None => return Err(MachineError::BadCodeAddress(self.p)),
+                    None => return Ok(false),
                 }
             };
         }

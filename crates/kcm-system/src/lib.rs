@@ -485,7 +485,7 @@ impl Kcm {
     /// predicates).
     pub fn warnings(&self) -> Vec<String> {
         self.image()
-            .map(|i| i.warnings().to_vec())
+            .map(|i| i.warnings().map(str::to_owned).collect())
             .unwrap_or_default()
     }
 

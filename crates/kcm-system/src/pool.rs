@@ -266,9 +266,9 @@ impl Default for SessionPool {
 
 /// One isolated session: compile the query against the shared image and
 /// run it on a fresh machine — [`crate::Program::query`] for callers that
-/// hold the image and symbol table apart. Only the image is shared; query
-/// compilation works on a private copy of the symbols, since a query may
-/// intern new ones.
+/// hold the image and symbol table apart. The query is linked into the
+/// top layers of clones that share the program's image and symbols, so a
+/// session owns only what its query adds.
 pub fn run_session(
     image: &Arc<CodeImage>,
     symbols: &SymbolTable,

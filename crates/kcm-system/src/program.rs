@@ -41,8 +41,12 @@ pub struct Program {
     /// The linked code image every query machine runs against.
     pub image: Arc<CodeImage>,
     /// The symbol table the image was compiled against. Query
-    /// compilation works on a private copy, since a query may intern
+    /// compilation works on a private clone, since a query may intern
     /// symbols of its own.
+    ///
+    /// Both the image and the table are frozen: their top layers are
+    /// empty, so the clones a query makes share everything and own only
+    /// what the query adds.
     pub symbols: Arc<SymbolTable>,
     /// The clause source the image was compiled from — what an update's
     /// recompile fallback rebuilds a predicate from. `None` for a program
@@ -82,8 +86,8 @@ impl Program {
     ) -> Result<Program, KcmError> {
         let image = kcm_compiler::compile_program(&clauses, &mut symbols)?;
         Ok(Program {
-            image: Arc::new(image),
-            symbols: Arc::new(symbols),
+            image: frozen(image),
+            symbols: frozen_symbols(symbols),
             clauses: Some(Arc::new(clauses)),
         })
     }
@@ -160,7 +164,7 @@ impl Program {
                 let image = Arc::make_mut(&mut self.image);
                 match image.assert_fact_clause(entry, key1, key2, &code) {
                     Ok(()) => {
-                        self.symbols = Arc::new(symbols);
+                        self.symbols = frozen_symbols(symbols);
                         if let Some(clauses) = &mut self.clauses {
                             Arc::make_mut(clauses).push(term);
                         }
@@ -249,8 +253,8 @@ impl Program {
         let mut image = CodeImage::clone(&self.image);
         Linker::relink_predicate(&mut image, pred, pred_clauses, &mut symbols)?;
         edit(Arc::make_mut(self.clauses.as_mut().expect("source held")));
-        self.symbols = Arc::new(symbols);
-        self.image = Arc::new(image);
+        self.symbols = frozen_symbols(symbols);
+        self.image = frozen(image);
         Ok(())
     }
 
@@ -329,6 +333,20 @@ impl QueryMachine {
         }
     }
 
+    pub(crate) fn image(&self) -> &CodeImage {
+        match self {
+            QueryMachine::Cycle(m) => m.image(),
+            QueryMachine::Native(m) => m.image(),
+        }
+    }
+
+    pub(crate) fn symbols(&self) -> &SymbolTable {
+        match self {
+            QueryMachine::Cycle(m) => m.symbols(),
+            QueryMachine::Native(m) => m.symbols(),
+        }
+    }
+
     pub(crate) fn exhausted(&self) -> bool {
         match self {
             QueryMachine::Cycle(m) => m.session_exhausted(),
@@ -338,9 +356,10 @@ impl QueryMachine {
 }
 
 /// The one query front half: parses `query`, compiles it against `image`
-/// on a private copy of `symbols`, overlays `opts` on `config`, and hands
+/// on a private clone of `symbols`, overlays `opts` on `config`, and hands
 /// the pieces to `build` for the machine. Returns the machine and the
-/// query's variable names.
+/// query's variable names. Against a frozen program both clones share the
+/// program's layers, so the work is the query's alone.
 pub(crate) fn prepare<M>(
     image: &CodeImage,
     symbols: &SymbolTable,
@@ -370,6 +389,18 @@ pub(crate) fn run_query(
         QueryMachine::new(opts.tier, i, s, c)
     })?;
     machine.run_query(&vars, opts.enumerate_all)
+}
+
+/// A program's image: its top layer merged into the base.
+fn frozen(mut image: CodeImage) -> Arc<CodeImage> {
+    image.freeze();
+    Arc::new(image)
+}
+
+/// A program's symbol table: its top layer merged into the base.
+fn frozen_symbols(mut symbols: SymbolTable) -> Arc<SymbolTable> {
+    symbols.freeze();
+    Arc::new(symbols)
 }
 
 /// The clauses among `clauses` that belong to `pred`, in order.
@@ -436,4 +467,83 @@ fn fact_keys(fact: &Term, symbols: &mut SymbolTable) -> (Word, Option<Word>) {
         .expect("fact_keys requires a compiled atomic-argument fact");
     let key2 = args.get(1).and_then(|t| const_key(t, symbols));
     (key1, key2)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `f(kN, vN)` for `N` in `0..n`.
+    fn facts(n: usize) -> Program {
+        let src: String = (0..n).map(|i| format!("f(k{i}, v{i}).\n")).collect();
+        Program::load(src.as_str()).expect("load")
+    }
+
+    /// A request must not copy the program: the query's own layers hold
+    /// the same amount at 10³ and 10⁴ facts, over the program's shared
+    /// base layers.
+    #[test]
+    fn a_query_owns_only_its_own_layer() {
+        let config = MachineConfig::default();
+        let tops: Vec<(usize, usize)> = [1_000, 10_000]
+            .into_iter()
+            .map(|n| {
+                let program = facts(n);
+                let ((image, symbols), vars) = prepare(
+                    &program.image,
+                    &program.symbols,
+                    &config,
+                    "f(k7, V)",
+                    &QueryOpts::first(),
+                    |image, symbols, _| (image, symbols),
+                )
+                .expect("prepare");
+                assert_eq!(vars, ["V"]);
+                assert!(Arc::ptr_eq(image.base_layer(), program.image.base_layer()));
+                assert!(Arc::ptr_eq(
+                    symbols.base_layer(),
+                    program.symbols.base_layer()
+                ));
+                (image.top_instrs(), symbols.top_len())
+            })
+            .collect();
+        assert!(tops[0].0 > 0, "the query's code is in the top layer");
+        assert_eq!(
+            tops[0], tops[1],
+            "(top instrs, top symbols) grew with the program"
+        );
+    }
+
+    /// Open cursors share the program's base layers; none holds a copy.
+    #[test]
+    fn open_cursors_share_the_program() {
+        let program = facts(10_000);
+        let config = MachineConfig::default();
+        let cursors: Vec<Solutions> = (0..32)
+            .map(|i| {
+                let tier = if i % 2 == 0 {
+                    Tier::Native
+                } else {
+                    Tier::Cycle
+                };
+                let query = format!("f(k{}, V)", i * 311);
+                let mut cursor = program
+                    .solutions(&query, &config, &QueryOpts::all().with_tier(tier))
+                    .expect("open");
+                assert!(cursor.next_step().expect("pull").is_some());
+                cursor
+            })
+            .collect();
+        for cursor in &cursors {
+            assert!(Arc::ptr_eq(
+                cursor.image().base_layer(),
+                program.image.base_layer()
+            ));
+            assert!(Arc::ptr_eq(
+                cursor.symbols().base_layer(),
+                program.symbols.base_layer()
+            ));
+            assert_eq!(cursor.image().top_instrs(), cursors[0].image().top_instrs());
+        }
+    }
 }

@@ -106,6 +106,18 @@ impl Solutions {
         &self.totals
     }
 
+    /// The query image the session's machine runs: the program's image
+    /// with the query linked into its top layer.
+    pub fn image(&self) -> &CodeImage {
+        self.machine.image()
+    }
+
+    /// The session machine's symbol table: the program's, plus whatever
+    /// the query and its builtins interned.
+    pub fn symbols(&self) -> &SymbolTable {
+        self.machine.symbols()
+    }
+
     /// Accumulated host output over every slice pulled so far.
     pub fn output(&self) -> &str {
         &self.output
