@@ -40,9 +40,6 @@
 //!   smoke runs 10³/10⁴; default is the full 10³..10⁶ sweep).
 //! * `KCM_FACTSCALE_REPS=5` — repetitions per measurement; the minimum
 //!   is reported (default 3).
-//! * `KCM_HASH_SWITCH=0` — run with the hash side table disabled (the
-//!   linear reference scan), for before/after comparisons. Simulated
-//!   numbers are byte-identical either way; only host time moves.
 //!
 //! A fourth **cold start** section measures the snapshot path: for each
 //! size, the consulted image is saved with [`Kcm::snapshot`] and
@@ -69,7 +66,7 @@
 
 use bench::{JsonlWriter, Record};
 use kcm_suite::table::{f2, f3, ratio, Table};
-use kcm_system::{Kcm, ProgramSource, QueryOpts};
+use kcm_system::{Kcm, MachineConfig, ProgramSource, QueryOpts};
 use std::time::Instant;
 
 /// How many distinct keys the point-lookup percentiles are taken over.
@@ -204,17 +201,10 @@ fn e2e_p50(kcm: &mut Kcm, n: usize, tier: Tier, reps: u32) -> f64 {
 }
 
 fn main() {
-    let config = bench::hostperf_config();
+    let config = MachineConfig::default();
     bench::banner(
         "factscale: wide fact-base scaling (consult, point lookup, enumeration)",
-        &format!(
-            "host wall-clock, not simulated time; hash switch {}",
-            if config.hash_switch {
-                "ON"
-            } else {
-                "OFF (linear reference)"
-            }
-        ),
+        "host wall-clock, not simulated time",
     );
     let reps = reps();
     let mut t = Table::new(vec![

@@ -31,14 +31,12 @@
 //! * `KCM_HOSTPERF_REPS=5` — repetitions per program; the *minimum* host
 //!   time is reported (default 3 — the min of a deterministic workload is
 //!   the least noisy robust estimator).
-//! * `KCM_FAST_PATHS=0` — run with the host fast paths disabled (the
-//!   naive reference interpreter), for before/after comparisons.
 
 use bench::{JsonlWriter, Record};
 use kcm_suite::programs::{self, BenchProgram};
 use kcm_suite::runner::{run_suite_pooled, Variant};
 use kcm_suite::table::{f2, f3, ratio, Table};
-use kcm_system::{Kcm, Outcome};
+use kcm_system::{Kcm, MachineConfig, Outcome};
 use std::time::Instant;
 
 fn selected_programs() -> Vec<BenchProgram> {
@@ -64,14 +62,10 @@ fn reps() -> u32 {
 }
 
 fn main() {
-    let config = bench::hostperf_config();
-    let fast = bench::fast_paths_enabled(&config);
+    let config = MachineConfig::default();
     bench::banner(
         "hostperf: simulator host throughput (full timed suite)",
-        &format!(
-            "host wall-clock, not simulated time; fast paths {}",
-            if fast { "ON" } else { "OFF (naive reference)" }
-        ),
+        "host wall-clock, not simulated time",
     );
     let suite = selected_programs();
     let reps = reps();
@@ -163,8 +157,7 @@ fn main() {
                 .f64("sim_ms", stats.ms())
                 .f64("host_ms", host_ms)
                 .f64("sim_mcycles_per_host_s", mcyc_per_s)
-                .f64("host_klips", host_klips)
-                .u64("fast_paths", u64::from(fast)),
+                .f64("host_klips", host_klips),
         );
         jsonl.record(
             &Record::row("hostperf", p.name)
@@ -172,8 +165,7 @@ fn main() {
                 .u64("inferences", stats.inferences)
                 .f64("host_ms", native_ms)
                 .f64("host_klips", native_klips)
-                .f64("speedup_vs_cycle", speedup)
-                .u64("fast_paths", u64::from(fast)),
+                .f64("speedup_vs_cycle", speedup),
         );
     }
     println!("{}", t.render());
@@ -220,8 +212,7 @@ fn main() {
             .f64(
                 "host_klips",
                 ratio(total_inferences as f64 / 1e3, serial_host_s),
-            )
-            .u64("fast_paths", u64::from(fast)),
+            ),
     );
     jsonl.record(
         &Record::summary("hostperf", "serial-total-native")
@@ -233,8 +224,7 @@ fn main() {
                 "host_klips",
                 ratio(total_inferences as f64 / 1e3, native_host_s),
             )
-            .f64("speedup_vs_cycle", ratio(serial_host_s, native_host_s))
-            .u64("fast_paths", u64::from(fast)),
+            .f64("speedup_vs_cycle", ratio(serial_host_s, native_host_s)),
     );
     jsonl.record(
         &Record::summary("hostperf", "pooled")
@@ -244,8 +234,7 @@ fn main() {
             .u64("inferences", total_inferences)
             .f64("host_ms", pooled_s * 1e3)
             .f64("sim_mcycles_per_host_s", pooled_mcyc_s)
-            .f64("host_klips", ratio(total_inferences as f64 / 1e3, pooled_s))
-            .u64("fast_paths", u64::from(fast)),
+            .f64("host_klips", ratio(total_inferences as f64 / 1e3, pooled_s)),
     );
     jsonl.announce();
 }

@@ -10,8 +10,8 @@
 //! functor index for structures) to the branch target **and the key's
 //! ordinal position in the original table**.
 //!
-//! Keeping the ordinal is what lets the cycle-accurate tier stay
-//! byte-identical to the linear reference: a hit at ordinal `k` charges
+//! Keeping the ordinal is what lets the cycle-accurate tier charge what
+//! the hardware's linear scan costs: a hit at ordinal `k` charges
 //! exactly `(k + 1) × switch_table_probe` — the cycles the hardware's
 //! sequential probe would have burnt — and a miss charges
 //! `len × switch_table_probe`, all without touching the table.

@@ -79,21 +79,6 @@ pub struct MachineConfig {
     /// traps) in a bounded ring buffer; 0 (the default) disables
     /// recording down to a single not-taken branch per event site.
     pub event_trace_depth: usize,
-    /// Host-side fast paths in the hot loop (fall-through dispatch,
-    /// batched code fetch; see also [`MemConfig::fast_paths`]). A pure
-    /// *host* speed switch — every simulated number (cycles, stats,
-    /// profiles) is byte-identical with it on or off; off keeps the naive
-    /// reference paths alive for differential testing.
-    pub fast_paths: bool,
-    /// O(1) switch dispatch through the linker's hash side table
-    /// ([`CodeImage::switch_index`]). Like [`MachineConfig::fast_paths`]
-    /// this is a pure *host* speed switch: the hash path charges exactly
-    /// the cycles the linear reference scan would have charged (hit at
-    /// table ordinal `k` → `(k + 1) × switch_table_probe`, miss → the
-    /// full table length), so every simulated number is byte-identical
-    /// with it on or off. Off keeps the linear scan alive for
-    /// differential testing (`KCM_HASH_SWITCH=0`).
-    pub hash_switch: bool,
 }
 
 impl Default for MachineConfig {
@@ -108,8 +93,6 @@ impl Default for MachineConfig {
             trace_depth: 0,
             profile: false,
             event_trace_depth: 0,
-            fast_paths: true,
-            hash_switch: true,
         }
     }
 }
@@ -761,7 +744,7 @@ impl<M: DataMem> Machine<M> {
         // while the machine is stepping (consulting happens between runs),
         // so the hot loop can borrow it without per-step `Arc` traffic.
         let image = Arc::clone(&self.image);
-        if !M::SIMULATED && self.cfg.fast_paths && self.cfg.trace_depth == 0 {
+        if !M::SIMULATED && self.cfg.trace_depth == 0 {
             // Native tier: the resolved-dispatch loop (pre-computed
             // instruction sizes and fall-through indices, cached in the
             // image's layers; no clock, no fuel gauge, no macrocode trace
@@ -1613,8 +1596,7 @@ impl<M: DataMem> Machine<M> {
         // successor is the next index). The hint is validated against the
         // image, so only taken control transfers pay the dense
         // `addr_index` lookup.
-        let idx = if self.cfg.fast_paths
-            && addr.value() == self.ft_addr
+        let idx = if addr.value() == self.ft_addr
             && image.addr_at_index(self.ft_index) == Some(self.ft_addr)
         {
             self.ft_index
@@ -1630,15 +1612,8 @@ impl<M: DataMem> Machine<M> {
         // has no code cache and no clock — the whole block monomorphizes
         // away.
         if M::SIMULATED {
-            if self.cfg.fast_paths {
-                let extra = self.mem.fetch_code_seq(addr, words);
-                self.charge(extra);
-            } else {
-                for i in 0..words {
-                    let extra = self.mem.fetch_code(addr.offset(i as i64));
-                    self.charge(extra);
-                }
-            }
+            let extra = self.mem.fetch_code_seq(addr, words);
+            self.charge(extra);
             self.prefetch.issue(addr, words);
             self.charge(self.cfg.cost.instr_overhead);
         }
@@ -1807,16 +1782,11 @@ impl<M: DataMem> Machine<M> {
                 let a = self.deref(self.regs.arg(arg.index()))?;
                 self.regs.set_arg(arg.index(), a);
                 self.charge(cost.switch_on_term);
-                // The hash path resolves the lookup in O(1) but charges
-                // exactly what the linear reference scan would have: a
-                // hit at table ordinal k probed k + 1 entries, a miss
-                // probed them all. The probe/hit/miss counters are
-                // dispatch outcomes — identical on both paths.
-                let hashed = if self.cfg.hash_switch {
-                    image.switch_index(idx).map(|s| s.lookup(a.switch_key()))
-                } else {
-                    None
-                };
+                // Tables of 8+ entries resolve through the link-time hash
+                // index in O(1), smaller ones by a scan; both charge what
+                // the machine's linear scan costs: a hit at table ordinal
+                // k probed k + 1 entries, a miss probed them all.
+                let hashed = image.switch_index(idx).map(|s| s.lookup(a.switch_key()));
                 let (target, probes) = match hashed {
                     Some(Some((t, ord))) => (Some(t), ord as u64 + 1),
                     Some(None) => (None, table.len() as u64),
@@ -1858,11 +1828,7 @@ impl<M: DataMem> Machine<M> {
                     _ => None,
                 };
                 let target = if let Some(f) = functor {
-                    let hashed = if self.cfg.hash_switch {
-                        image.switch_index(idx).map(|s| s.lookup(f.index() as u64))
-                    } else {
-                        None
-                    };
+                    let hashed = image.switch_index(idx).map(|s| s.lookup(f.index() as u64));
                     let (target, probes) = match hashed {
                         Some(Some((t, ord))) => (Some(t), ord as u64 + 1),
                         Some(None) => (None, table.len() as u64),

@@ -199,9 +199,9 @@ impl MwacCounters {
 /// Probes count the *charged* table probes of the simulated machine — a
 /// hit at table ordinal `k` charges `k + 1` probes, a miss charges the
 /// full table length. These are dispatch outcomes, determined by program
-/// semantics alone, so the numbers are identical whether the host
-/// resolved the lookup through the link-time hash side table or the
-/// linear reference scan (and identical across execution tiers).
+/// semantics alone, so the numbers are the same whether the host
+/// resolved the lookup through the link-time hash side table or a scan
+/// (and identical across execution tiers).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SwitchCounters {
     /// Table probes charged across all table-switch dispatches.

@@ -14,13 +14,12 @@
 //! legitimately across compile options, so variables are renamed to
 //! `_A, _B, …` in order of first appearance before comparison.
 
-use kcm_cpu::MachineConfig;
 use kcm_prolog::Term;
 use kcm_system::{
     error_class, Kcm, KcmError, ProgramSource, QueryJob, QueryOpts, SessionPool, Solutions, Tier,
 };
 
-pub use kcm_system::{Engine, EngineOutcome, KcmEngine, NativeEngine};
+pub use kcm_system::{Engine, EngineOutcome, KcmEngine};
 
 /// Step budget applied to every engine per case. Generated programs
 /// terminate by construction; the budget only catches generator bugs.
@@ -155,19 +154,6 @@ pub fn normalize_output(s: &str) -> String {
     out
 }
 
-/// The KCM simulator as an oracle engine, host fast paths on or off.
-pub fn kcm_engine(fast_paths: bool) -> KcmEngine {
-    let mut config = MachineConfig {
-        fast_paths,
-        ..MachineConfig::default()
-    };
-    config.mem.fast_paths = fast_paths;
-    KcmEngine::labelled(
-        format!("kcm(fast={})", if fast_paths { "on" } else { "off" }),
-        config,
-    )
-}
-
 /// The KCM simulator behind a [`SessionPool`]: the query runs as several
 /// identical jobs fanned out across the pool's workers. The jobs must
 /// agree with each other (pool determinism) and, through the oracle, with
@@ -198,7 +184,7 @@ impl Engine for PooledKcmEngine {
 
     fn run_case(&self, source: ProgramSource<'_>, query: &str, opts: &QueryOpts) -> EngineOutcome {
         let name = self.name();
-        let mut kcm = Kcm::with_config(kcm_engine(true).config().clone());
+        let mut kcm = Kcm::new();
         if let Err(e) = kcm.load(source) {
             return EngineOutcome::new(name, Err(e));
         }
@@ -274,7 +260,7 @@ impl Engine for CursorEngine {
 
     fn run_case(&self, source: ProgramSource<'_>, query: &str, opts: &QueryOpts) -> EngineOutcome {
         let name = self.name();
-        let mut kcm = Kcm::with_config(kcm_engine(true).config().clone());
+        let mut kcm = Kcm::new();
         if let Err(e) = kcm.load(source) {
             return EngineOutcome::new(name, Err(e));
         }
@@ -307,7 +293,7 @@ impl Engine for PooledCursorEngine {
 
     fn run_case(&self, source: ProgramSource<'_>, query: &str, opts: &QueryOpts) -> EngineOutcome {
         let name = self.name();
-        let mut kcm = Kcm::with_config(kcm_engine(true).config().clone());
+        let mut kcm = Kcm::new();
         if let Err(e) = kcm.load(source) {
             return EngineOutcome::new(name, Err(e));
         }
@@ -335,7 +321,7 @@ impl Engine for PooledCursorEngine {
     }
 }
 
-/// The full engine roster: KCM fast-paths on and off, the native
+/// The full engine roster, 11 engines: the KCM simulator, the native
 /// execution tier (no cycle model — its equivalence proof *is* this
 /// roster), pooled KCM with 1 and N workers, the suspendable-session
 /// cursor path (both tiers, plus pooled at 1 and 4 workers — the
@@ -344,9 +330,8 @@ impl Engine for PooledCursorEngine {
 /// machine.
 pub fn standard_engines() -> Vec<Box<dyn Engine>> {
     vec![
-        Box::new(kcm_engine(true)),
-        Box::new(kcm_engine(false)),
-        Box::new(NativeEngine::new()),
+        Box::new(KcmEngine::new()),
+        Box::new(KcmEngine::native()),
         Box::new(PooledKcmEngine { workers: 1 }),
         Box::new(PooledKcmEngine { workers: 4 }),
         Box::new(CursorEngine { tier: Tier::Cycle }),
@@ -452,7 +437,7 @@ pub fn compare(
     query: &str,
     enumerate_all: bool,
 ) -> Verdict {
-    // Tier stays the default (cycle); [`NativeEngine`] pins its own tier
+    // Tier stays the default (cycle); [`KcmEngine::native`] pins its own tier
     // over these opts, which is what lets one shared `QueryOpts` drive a
     // roster that mixes tiers.
     let opts = QueryOpts {
@@ -560,7 +545,7 @@ mod tests {
                 EngineOutcome::new("stub", kcm.query("p(X)", &QueryOpts::all()))
             }
         }
-        let engines: Vec<Box<dyn Engine>> = vec![Box::new(kcm_engine(true)), Box::new(Stub)];
+        let engines: Vec<Box<dyn Engine>> = vec![Box::new(KcmEngine::new()), Box::new(Stub)];
         let v = compare(&engines, "p(1).", "p(X)", true);
         match v {
             Verdict::Diverge(d) => {

@@ -4,9 +4,7 @@
 
 use kcm_difftest::corpus;
 use kcm_difftest::gen::GProgram;
-use kcm_difftest::oracle::{
-    compare, kcm_engine, standard_engines, Engine, EngineOutcome, KcmEngine, Verdict,
-};
+use kcm_difftest::oracle::{compare, standard_engines, Engine, EngineOutcome, KcmEngine, Verdict};
 use kcm_difftest::shrink::shrink;
 use kcm_system::{ProgramSource, QueryOpts};
 use kcm_testkit::cases_seeded;
@@ -24,6 +22,27 @@ fn corpus_replays_clean_on_all_engines() {
             .map(|(n, r)| format!("--- {n} ---\n{r}"))
             .collect::<Vec<_>>()
             .join("\n")
+    );
+}
+
+#[test]
+fn roster_covers_both_tiers_and_every_engine_family() {
+    let names: Vec<String> = standard_engines().iter().map(|e| e.name()).collect();
+    assert_eq!(
+        names,
+        [
+            "kcm",
+            "kcm-native",
+            "kcm-pool(workers=1)",
+            "kcm-pool(workers=4)",
+            "kcm-cursor(cycle)",
+            "kcm-cursor(native)",
+            "kcm-cursor-pool(workers=1)",
+            "kcm-cursor-pool(workers=4)",
+            "wam-baseline",
+            "swam",
+            "plm",
+        ]
     );
 }
 
@@ -81,8 +100,8 @@ impl Engine for DropsLastSolution {
 #[test]
 fn shrinker_reduces_injected_fault_to_three_clauses_or_fewer() {
     let engines: Vec<Box<dyn Engine>> = vec![
-        Box::new(kcm_engine(true)),
-        Box::new(DropsLastSolution(kcm_engine(true))),
+        Box::new(KcmEngine::new()),
+        Box::new(DropsLastSolution(KcmEngine::new())),
     ];
     // A deliberately bloated program: only the member-shape predicate
     // matters to the fault; everything else is shrinkable padding.

@@ -73,11 +73,6 @@ pub struct MemConfig {
     pub dcache_writeback: Cycles,
     /// Code cache miss penalty in cycles.
     pub icache_miss: Cycles,
-    /// Host-side fast paths (MMU TLB, data-cache last-line cache). Purely
-    /// a *host* speed switch: the simulated counters and cycle charges are
-    /// byte-identical either way (asserted by `kcm-suite/tests/fastpath.rs`).
-    /// Off keeps the naive reference paths for differential testing.
-    pub fast_paths: bool,
 }
 
 impl Default for MemConfig {
@@ -89,7 +84,6 @@ impl Default for MemConfig {
             dcache_miss: costs.dcache_miss,
             dcache_writeback: costs.dcache_writeback,
             icache_miss: costs.icache_miss,
-            fast_paths: true,
         }
     }
 }
@@ -283,12 +277,6 @@ pub trait DataMem: std::fmt::Debug + Send {
     /// Backend-specific allocation failure.
     fn poke(&mut self, addr: VAddr, value: Word) -> Result<(), MemFault>;
 
-    /// Times an instruction fetch; untimed backends return 0.
-    fn fetch_code(&mut self, addr: CodeAddr) -> Cycles {
-        let _ = addr;
-        0
-    }
-
     /// Times a sequential multi-word instruction fetch; untimed backends
     /// return 0.
     fn fetch_code_seq(&mut self, addr: CodeAddr, words: usize) -> Cycles {
@@ -339,11 +327,6 @@ impl DataMem for MemorySystem {
     }
 
     #[inline]
-    fn fetch_code(&mut self, addr: CodeAddr) -> Cycles {
-        MemorySystem::fetch_code(self, addr)
-    }
-
-    #[inline]
     fn fetch_code_seq(&mut self, addr: CodeAddr, words: usize) -> Cycles {
         MemorySystem::fetch_code_seq(self, addr, words)
     }
@@ -376,16 +359,12 @@ impl MemorySystem {
     /// Creates a memory system with empty caches and an unmapped page
     /// table.
     pub fn new(config: MemConfig) -> MemorySystem {
-        let mut dcache = DataCache::new(config.sectioned_data_cache);
-        dcache.set_fast_paths(config.fast_paths);
-        let mut mmu = Mmu::new();
-        mmu.set_fast_paths(config.fast_paths);
         MemorySystem {
-            dcache,
+            dcache: DataCache::new(config.sectioned_data_cache),
             icache: CodeCache::new(),
             config,
             memory: MainMemory::new(),
-            mmu,
+            mmu: Mmu::new(),
             zones: ZoneTable::new(),
             stats: MemStats::default(),
         }

@@ -65,11 +65,11 @@ const TLB_SLOTS: usize = 64;
 /// machine that does not need to do context switches").
 ///
 /// The *simulated* machine has no TLB, but the simulator keeps a small
-/// host-side one (enabled by default, see [`Mmu::set_fast_paths`]): a
-/// direct-mapped `vp → physical page` cache consulted before the table
-/// walk. It is filled only after an entry is valid and referenced, so a
-/// hit skips nothing but idempotent work — simulated state and fault
-/// counters are byte-identical with it on or off.
+/// host-side one: a direct-mapped `vp → physical page` cache consulted
+/// before the table walk. It is filled only after an entry is valid and
+/// referenced, so a hit skips nothing but idempotent work — simulated
+/// state and fault counters are what the table walk alone would produce
+/// (checked against a page-table model in this module's tests).
 ///
 /// # Examples
 ///
@@ -91,7 +91,6 @@ pub struct Mmu {
     data_table: Vec<Entry>,
     code_table: Vec<Entry>,
     tlb: [TlbSlot; TLB_SLOTS],
-    tlb_enabled: bool,
 }
 
 impl Default for Mmu {
@@ -107,16 +106,7 @@ impl Mmu {
             data_table: vec![Entry::default(); kcm_arch::addr::PAGES_PER_SPACE as usize],
             code_table: vec![Entry::default(); kcm_arch::addr::PAGES_PER_SPACE as usize],
             tlb: [TLB_EMPTY; TLB_SLOTS],
-            tlb_enabled: true,
         }
-    }
-
-    /// Enables or disables the host-side TLB (on by default). Purely a
-    /// host speed switch; translation results and fault counters are
-    /// identical either way.
-    pub fn set_fast_paths(&mut self, enabled: bool) {
-        self.tlb_enabled = enabled;
-        self.tlb = [TLB_EMPTY; TLB_SLOTS];
     }
 
     /// Translates a data-space address, allocating a physical page on
@@ -133,14 +123,12 @@ impl Mmu {
         stats: &mut MemStats,
     ) -> Result<PhysAddr, MemFault> {
         let vp = addr.page().index();
-        if self.tlb_enabled {
-            let slot = self.tlb[vp % TLB_SLOTS];
-            if slot.vp == vp as u32 {
-                // The slot was filled after the entry became valid and
-                // referenced, so the table walk below would only redo
-                // idempotent work.
-                return Ok(PhysAddr::new(slot.page, addr.page_offset()));
-            }
+        let slot = self.tlb[vp % TLB_SLOTS];
+        if slot.vp == vp as u32 {
+            // The slot was filled after the entry became valid and
+            // referenced, so the table walk below would only redo
+            // idempotent work.
+            return Ok(PhysAddr::new(slot.page, addr.page_offset()));
         }
         let entry = &mut self.data_table[vp];
         if !entry.valid() {
@@ -152,12 +140,10 @@ impl Mmu {
         }
         entry.0 |= ST_REFERENCED;
         let phys_page = entry.phys_page();
-        if self.tlb_enabled {
-            self.tlb[vp % TLB_SLOTS] = TlbSlot {
-                vp: vp as u32,
-                page: phys_page,
-            };
-        }
+        self.tlb[vp % TLB_SLOTS] = TlbSlot {
+            vp: vp as u32,
+            page: phys_page,
+        };
         Ok(PhysAddr::new(phys_page, addr.page_offset()))
     }
 
@@ -214,6 +200,7 @@ const _: () = assert!(PAGE_SIZE_WORDS == 1 << 14);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn same_page_translates_once() {
@@ -275,5 +262,57 @@ mod tests {
         assert!(!mmu.data_page_mapped(va));
         // Moving an unmapped page reports false.
         assert!(!mmu.move_data_page_to_code(va, CodeAddr::new(0)));
+    }
+
+    /// The host TLB against a plain page-table model: a seeded trace of
+    /// translations and code hand-overs over pages that share TLB slots
+    /// (0, 64, 128 and 192 all map to slot 0) must see the physical
+    /// address and fault count the model predicts at every step. The
+    /// board hands out frames in order, so the model knows which frame a
+    /// fault maps.
+    #[test]
+    fn host_tlb_matches_a_page_table_model() {
+        const PAGES: [u32; 9] = [0, 1, 2, 3, 64, 65, 128, 129, 192];
+        kcm_testkit::cases_seeded(0x7462_6c31, 64, |rng| {
+            let mut mmu = Mmu::new();
+            let mut mem = MainMemory::new();
+            let mut stats = MemStats::default();
+            let mut model: HashMap<u32, u16> = HashMap::new();
+            let mut next_frame: u16 = 0;
+            let mut faults = 0;
+            for step in 0..400 {
+                let vp = *rng.choose(&PAGES);
+                if rng.chance(1, 8) {
+                    let code = CodeAddr::new(rng.below(64) as u32 * PAGE_SIZE_WORDS);
+                    let moved = mmu.move_data_page_to_code(VAddr::new(vp * PAGE_SIZE_WORDS), code);
+                    assert_eq!(
+                        moved,
+                        model.remove(&vp).is_some(),
+                        "step {step}: hand-over of {vp}"
+                    );
+                    continue;
+                }
+                let offset = rng.below(u64::from(PAGE_SIZE_WORDS)) as u32;
+                let frame = *model.entry(vp).or_insert_with(|| {
+                    faults += 1;
+                    next_frame += 1;
+                    next_frame - 1
+                });
+                let phys = mmu
+                    .translate_data(
+                        VAddr::new(vp * PAGE_SIZE_WORDS + offset),
+                        &mut mem,
+                        &mut stats,
+                    )
+                    .unwrap();
+                assert_eq!(
+                    phys.value(),
+                    PhysAddr::new(frame, offset).value(),
+                    "step {step}: page {vp}"
+                );
+                assert_eq!(stats.data_page_faults, faults, "step {step}: page {vp}");
+            }
+            assert_eq!(mmu.mapped_data_pages(), model.len());
+        });
     }
 }

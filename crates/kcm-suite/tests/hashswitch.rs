@@ -1,95 +1,104 @@
-//! The hash-switch invariant, proved fastpath-style over the whole
-//! suite: resolving `switch_on_constant` / `switch_on_structure` through
-//! the link-time hash side table (`MachineConfig::hash_switch`) is
-//! *speed-only*. Every benchmark run with the hash path on and off must
-//! produce the same bytes everywhere the simulation is observable —
-//! solutions, output, [`RunStats`] (including the memory-system
-//! counters), and the hardware-mechanism profile, whose switch counters
-//! are dispatch outcomes and therefore identical on both paths.
+//! The hash-switch invariant: resolving `switch_on_constant` /
+//! `switch_on_structure` through the link-time hash side table is
+//! *speed-only*. Hash dispatch is the interpreter's only path for
+//! indexed tables; what it is held to is the linear-scan interpreter's
+//! recording in the golden counter file (see `golden/mod.rs`). Every
+//! benchmark, and every switch-table shape below, must reproduce it
+//! byte-for-byte: solutions, [`RunStats`](kcm_system::RunStats) and the
+//! switch counters, which are dispatch outcomes and so identical on both
+//! paths.
 //!
-//! The wide-fact-base and float-key tests below exercise the paths the
-//! 14-program suite cannot: tables big enough to get a hash index
+//! The remaining tests check what the numbers mean on the shapes the
+//! 14-program suite cannot reach: tables big enough to get a hash index
 //! (≥ 8 entries), depth-2 second-level dispatch, and the bitwise float
 //! key semantics (`-0.0` ≠ `0.0`; dispatch must agree with unification).
 
-use kcm_suite::programs;
-use kcm_suite::runner::{run_suite_pooled, Variant};
-use kcm_system::{Kcm, MachineConfig, QueryOpts, SessionPool, Tier};
+mod golden;
 
-/// The two configurations under comparison: identical except for the
-/// host-speed switch.
-fn configs() -> (MachineConfig, MachineConfig) {
-    let hashed = MachineConfig {
-        profile: true,
-        ..MachineConfig::default()
+use kcm_suite::programs::{self, BenchProgram};
+use kcm_system::{Kcm, QueryOpts, SessionPool, Tier};
+
+/// A suite program's native-tier run, rendered the way the golden file
+/// renders it.
+fn render_native(p: &BenchProgram) -> String {
+    let mut kcm = Kcm::with_config(golden::config());
+    kcm.load(p.source)
+        .unwrap_or_else(|e| panic!("{}: consult: {e}", p.name));
+    let opts = QueryOpts {
+        enumerate_all: p.enumerate,
+        tier: Tier::Native,
+        ..QueryOpts::default()
     };
-    assert!(hashed.hash_switch, "hash switch must default on");
-    let mut linear = hashed.clone();
-    linear.hash_switch = false;
-    (hashed, linear)
+    let o = kcm
+        .query(p.query, &opts)
+        .unwrap_or_else(|e| panic!("{}: run: {e}", p.name));
+    format!("stats {:?}\nswitches {:?}\n", o.stats, o.profile.switches)
 }
 
 #[test]
 fn hash_switch_is_byte_identical_over_the_full_suite() {
+    // The suite's own switch tables, on the native tier (where the
+    // resolved-dispatch loop takes the hash index), serially and across
+    // the session pool.
     let suite = programs::suite();
-    let (hashed_cfg, linear_cfg) = configs();
     for workers in [1usize, 4] {
-        let pool = SessionPool::new(workers);
-        let hashed = run_suite_pooled(&suite, Variant::Timed, &hashed_cfg, &pool);
-        let linear = run_suite_pooled(&suite, Variant::Timed, &linear_cfg, &pool);
-        for ((p, h), l) in suite.iter().zip(&hashed).zip(&linear) {
-            let h = h
-                .as_ref()
-                .unwrap_or_else(|e| panic!("{}: hashed run failed: {e}", p.name));
-            let l = l
-                .as_ref()
-                .unwrap_or_else(|e| panic!("{}: linear run failed: {e}", p.name));
-            let (h, l) = (&h.outcome, &l.outcome);
-            assert_eq!(h.success, l.success, "{}: success diverged", p.name);
-            assert_eq!(h.solutions, l.solutions, "{}: solutions diverged", p.name);
-            assert_eq!(h.output, l.output, "{}: output diverged", p.name);
+        let runs = SessionPool::new(workers).map(&suite, render_native);
+        for (p, run) in suite.iter().zip(&runs) {
             assert_eq!(
-                h.stats, l.stats,
-                "{} ({workers} workers): RunStats diverged",
+                *run,
+                golden::section(&format!("suite {} native", p.name)),
+                "{} ({workers} workers): native run diverged from the golden file",
                 p.name
             );
+        }
+    }
+    // The indexed shapes: wide, depth-2 and float-key tables, hits and
+    // misses, on both tiers.
+    let (wide200, wide100, wide50) = (wide_facts(200), wide_facts(100), wide_facts(50));
+    let cases: [(&str, &str, &str); 15] = [
+        ("wide200", &wide200, "f(k137, V)"),
+        ("wide100", &wide100, "f(k42, V)"),
+        ("wide50", &wide50, "f(zzz, V)"),
+        ("pairs", PAIRS, "pair(g1, b, X)"),
+        ("pairs", PAIRS, "pair(g1, M, X)"),
+        ("pairs", PAIRS, "pair(G, M, X)"),
+        ("pairs", PAIRS, "pair(g1, z, X)"),
+        ("pairs", PAIRS, "pair(g1, f(a), X)"),
+        ("pairs", PAIRS, "pair(g1, [a], X)"),
+        ("pairs", PAIRS, "pair(g2, c, X)"),
+        ("pairs", PAIRS, "pair(g9, c, X)"),
+        ("floats", FLOATS, "fk(0.0, V)"),
+        ("floats", FLOATS, "fk(-0.0, V)"),
+        ("floats", FLOATS, "fk(0.5, V)"),
+        ("single", "p0(0.0).", "p0(-0.0)"),
+    ];
+    for (label, src, query) in cases {
+        let mut kcm = Kcm::with_config(golden::config());
+        kcm.load(src).unwrap_or_else(|e| panic!("consult: {e}"));
+        for tier in [Tier::Cycle, Tier::Native] {
+            let opts = QueryOpts {
+                enumerate_all: true,
+                tier,
+                ..QueryOpts::default()
+            };
+            let o = kcm
+                .query(query, &opts)
+                .unwrap_or_else(|e| panic!("{query}: run: {e}"));
             assert_eq!(
-                h.stats.mem, l.stats.mem,
-                "{} ({workers} workers): MemStats diverged",
-                p.name
-            );
-            assert_eq!(
-                h.profile, l.profile,
-                "{} ({workers} workers): hardware profile diverged",
-                p.name
+                golden::render_outcome(&o),
+                golden::section(&format!("switch {label} {query} {tier:?}")),
+                "{label} {query} ({tier:?}): diverged from the golden file"
             );
         }
     }
 }
 
-/// Runs one query on a fresh session under `cfg`, returning the outcome.
-fn run_with(cfg: &MachineConfig, src: &str, query: &str) -> kcm_system::Outcome {
-    let mut kcm = Kcm::with_config(cfg.clone());
+/// Runs one enumerating query on a fresh session and returns the outcome.
+fn run_all(src: &str, query: &str) -> kcm_system::Outcome {
+    let mut kcm = Kcm::new();
     kcm.load(src).unwrap_or_else(|e| panic!("consult: {e}"));
-    let opts = QueryOpts {
-        enumerate_all: true,
-        ..QueryOpts::default()
-    };
-    kcm.query(query, &opts)
+    kcm.query(query, &QueryOpts::all())
         .unwrap_or_else(|e| panic!("run: {e}"))
-}
-
-/// Asserts a query's outcome is byte-identical with the hash path on and
-/// off, and returns the (hashed) outcome for content checks.
-fn identical_on_both_paths(src: &str, query: &str) -> kcm_system::Outcome {
-    let (hashed_cfg, linear_cfg) = configs();
-    let h = run_with(&hashed_cfg, src, query);
-    let l = run_with(&linear_cfg, src, query);
-    assert_eq!(h.success, l.success, "{query}: success diverged");
-    assert_eq!(h.solutions, l.solutions, "{query}: solutions diverged");
-    assert_eq!(h.stats, l.stats, "{query}: RunStats diverged");
-    assert_eq!(h.profile, l.profile, "{query}: profile diverged");
-    h
 }
 
 /// A flat fact base wide enough for a hash index: `f(kI, vI)` for
@@ -109,22 +118,22 @@ const PAIRS: &str = "
 #[test]
 fn wide_fact_lookup_hits_the_hash_index() {
     let src = wide_facts(200);
-    let h = identical_on_both_paths(&src, "f(k137, V)");
+    let h = run_all(&src, "f(k137, V)");
     assert!(h.success);
     assert_eq!(h.solutions.len(), 1);
     assert_eq!(h.solutions[0][0].1.to_string(), "v137");
-    assert!(
-        h.profile.switches.hits >= 1,
+    assert_eq!(
+        h.profile.switches.hits, 1,
         "the constant switch must have dispatched through the table"
     );
     // A hit at table ordinal k charges k + 1 probes — the linear-scan
-    // cost, preserved exactly by the hash path.
-    assert!(h.profile.switches.probes >= 138 - 1);
+    // cost of the simulated machine, whatever the host looked it up with.
+    assert_eq!(h.profile.switches.probes, 137 + 1);
 }
 
 #[test]
 fn wide_fact_miss_charges_the_full_table() {
-    let h = identical_on_both_paths(&wide_facts(50), "f(zzz, V)");
+    let h = run_all(&wide_facts(50), "f(zzz, V)");
     assert!(!h.success);
     assert_eq!(h.profile.switches.misses, 1);
     assert_eq!(h.profile.switches.hits, 0);
@@ -133,7 +142,7 @@ fn wide_fact_miss_charges_the_full_table() {
 
 #[test]
 fn depth2_point_lookup_takes_the_second_level_switch() {
-    let h = identical_on_both_paths(PAIRS, "pair(g1, b, X)");
+    let h = run_all(PAIRS, "pair(g1, b, X)");
     assert!(h.success);
     assert_eq!(h.solutions.len(), 1);
     assert_eq!(h.solutions[0][0].1.to_string(), "5");
@@ -145,7 +154,7 @@ fn depth2_point_lookup_takes_the_second_level_switch() {
 
 #[test]
 fn depth2_with_unbound_second_arg_enumerates_the_bucket_in_order() {
-    let h = identical_on_both_paths(PAIRS, "pair(g1, M, X)");
+    let h = run_all(PAIRS, "pair(g1, M, X)");
     assert!(h.success);
     let got: Vec<String> = h
         .solutions
@@ -157,7 +166,7 @@ fn depth2_with_unbound_second_arg_enumerates_the_bucket_in_order() {
 
 #[test]
 fn depth2_with_everything_unbound_enumerates_all_facts() {
-    let h = identical_on_both_paths(PAIRS, "pair(G, M, X)");
+    let h = run_all(PAIRS, "pair(G, M, X)");
     assert!(h.success);
     assert_eq!(h.solutions.len(), 9);
 }
@@ -165,13 +174,13 @@ fn depth2_with_everything_unbound_enumerates_all_facts() {
 #[test]
 fn depth2_rejects_missing_and_mistyped_second_keys() {
     // A second key absent from every clause is a genuine failure...
-    let missing = identical_on_both_paths(PAIRS, "pair(g1, z, X)");
+    let missing = run_all(PAIRS, "pair(g1, z, X)");
     assert!(!missing.success);
     // ...and so is a compound second argument: a constant head arg can
     // never unify with a structure or a list.
-    let structure = identical_on_both_paths(PAIRS, "pair(g1, f(a), X)");
+    let structure = run_all(PAIRS, "pair(g1, f(a), X)");
     assert!(!structure.success);
-    let list = identical_on_both_paths(PAIRS, "pair(g1, [a], X)");
+    let list = run_all(PAIRS, "pair(g1, [a], X)");
     assert!(!list.success);
 }
 
@@ -184,10 +193,10 @@ const FLOATS: &str = "
 
 #[test]
 fn float_keys_dispatch_bitwise() {
-    let pos = identical_on_both_paths(FLOATS, "fk(0.0, V)");
+    let pos = run_all(FLOATS, "fk(0.0, V)");
     assert_eq!(pos.solutions.len(), 1);
     assert_eq!(pos.solutions[0][0].1.to_string(), "pos");
-    let neg = identical_on_both_paths(FLOATS, "fk(-0.0, V)");
+    let neg = run_all(FLOATS, "fk(-0.0, V)");
     assert_eq!(neg.solutions.len(), 1);
     assert_eq!(
         neg.solutions[0][0].1.to_string(),
@@ -235,8 +244,8 @@ fn float_dispatch_agrees_with_unification() {
     // float constants bitwise (same_constant), so a single-clause
     // predicate — no switch at all — must make the same distinction the
     // indexed one does.
-    let single = identical_on_both_paths("p0(0.0).", "p0(-0.0)");
+    let single = run_all("p0(0.0).", "p0(-0.0)");
     assert!(!single.success, "-0.0 must not unify with 0.0");
-    let indexed = identical_on_both_paths(FLOATS, "fk(0.5, V)");
+    let indexed = run_all(FLOATS, "fk(0.5, V)");
     assert!(!indexed.success, "an absent float key must fail");
 }

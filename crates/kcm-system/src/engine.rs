@@ -104,11 +104,15 @@ pub fn error_class(e: &KcmError) -> &'static str {
 }
 
 /// The KCM simulator as an [`Engine`]: loads the artifact into a fresh
-/// [`Program`] per case and runs the query.
+/// [`Program`] per case and runs the query, on the tier the caller's
+/// options name or, for [`KcmEngine::native`], always on the native
+/// tier — which lets a differential roster drive both tiers with one
+/// shared [`QueryOpts`] and still compare them against each other.
 #[derive(Debug, Clone)]
 pub struct KcmEngine {
     label: String,
     config: MachineConfig,
+    tier: Option<Tier>,
 }
 
 impl KcmEngine {
@@ -117,8 +121,16 @@ impl KcmEngine {
         KcmEngine::with_config(MachineConfig::default())
     }
 
-    /// A custom machine configuration (ablations, fast-path toggles),
-    /// labelled `"kcm"`.
+    /// The default configuration pinned to [`Tier::Native`] whatever
+    /// the caller's options say, labelled `"kcm-native"`.
+    pub fn native() -> KcmEngine {
+        KcmEngine {
+            tier: Some(Tier::Native),
+            ..KcmEngine::labelled("kcm-native", MachineConfig::default())
+        }
+    }
+
+    /// A custom machine configuration (ablations), labelled `"kcm"`.
     pub fn with_config(config: MachineConfig) -> KcmEngine {
         KcmEngine::labelled("kcm", config)
     }
@@ -128,6 +140,7 @@ impl KcmEngine {
         KcmEngine {
             label: label.into(),
             config,
+            tier: None,
         }
     }
 
@@ -149,54 +162,8 @@ impl Engine for KcmEngine {
     }
 
     fn run_case(&self, source: ProgramSource<'_>, query: &str, opts: &QueryOpts) -> EngineOutcome {
-        let result = Program::load(source).and_then(|p| p.query(query, &self.config, opts));
-        EngineOutcome::new(self.label.clone(), result)
-    }
-}
-
-/// The native execution tier as an [`Engine`]: the same load/query
-/// pipeline as [`KcmEngine`], pinned to [`Tier::Native`] regardless of
-/// the caller's options — which lets a differential roster drive both
-/// tiers with one shared [`QueryOpts`] and still compare them against
-/// each other.
-#[derive(Debug, Clone)]
-pub struct NativeEngine {
-    label: String,
-    config: MachineConfig,
-}
-
-impl NativeEngine {
-    /// The default configuration, labelled `"kcm-native"`.
-    pub fn new() -> NativeEngine {
-        NativeEngine::with_config(MachineConfig::default())
-    }
-
-    /// A custom machine configuration, labelled `"kcm-native"`. Only the
-    /// architectural fields (zone check, shallow backtracking, step
-    /// budget) matter on this tier; the cost model is ignored by
-    /// construction.
-    pub fn with_config(config: MachineConfig) -> NativeEngine {
-        NativeEngine {
-            label: "kcm-native".to_owned(),
-            config,
-        }
-    }
-}
-
-impl Default for NativeEngine {
-    fn default() -> NativeEngine {
-        NativeEngine::new()
-    }
-}
-
-impl Engine for NativeEngine {
-    fn name(&self) -> String {
-        self.label.clone()
-    }
-
-    fn run_case(&self, source: ProgramSource<'_>, query: &str, opts: &QueryOpts) -> EngineOutcome {
         let opts = QueryOpts {
-            tier: Tier::Native,
+            tier: self.tier.unwrap_or(opts.tier),
             ..opts.clone()
         };
         let result = Program::load(source).and_then(|p| p.query(query, &self.config, &opts));
@@ -213,14 +180,13 @@ mod tests {
         fn assert_bounds<T: Send + Sync>() {}
         assert_bounds::<Box<dyn Engine>>();
         assert_bounds::<KcmEngine>();
-        assert_bounds::<NativeEngine>();
     }
 
     #[test]
     fn native_engine_matches_kcm_engine_byte_for_byte() {
         let source = "q(X, Y) :- p(X), p(Y), X \\== Y. p(a). p(b).";
         let sim = KcmEngine::new().run_case(source.into(), "q(A, B)", &QueryOpts::all());
-        let nat = NativeEngine::new().run_case(source.into(), "q(A, B)", &QueryOpts::all());
+        let nat = KcmEngine::native().run_case(source.into(), "q(A, B)", &QueryOpts::all());
         let (sim, nat) = (sim.result.unwrap(), nat.result.unwrap());
         assert_eq!(sim.solutions, nat.solutions);
         assert_eq!(sim.output, nat.output);
@@ -230,7 +196,8 @@ mod tests {
 
     #[test]
     fn native_engine_keeps_error_classes() {
-        let nat = NativeEngine::new();
+        let nat = KcmEngine::native();
+        assert_eq!(nat.name(), "kcm-native");
         let budget = nat.run_case(
             "loop :- loop.".into(),
             "loop",

@@ -82,9 +82,7 @@ pub mod report;
 pub mod session;
 
 pub use answer::Answer;
-pub use engine::{
-    error_class, snapshot_unsupported, Engine, EngineOutcome, KcmEngine, NativeEngine,
-};
+pub use engine::{error_class, snapshot_unsupported, Engine, EngineOutcome, KcmEngine};
 pub use kcm_cpu::{
     InstrClass, Machine, MachineConfig, MachineError, Outcome, Profile, RunStats, Solution,
     TraceEvent, Tracer,
