@@ -121,9 +121,12 @@ impl Poller {
     }
 
     fn ctl(&self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        let mut events = sys::EPOLLRDHUP;
+        // Peer half-close is a read-side condition, so it follows read
+        // interest: level-triggered, it would otherwise wake the owner of
+        // a paused connection on every wait until the pause ended.
+        let mut events = 0;
         if interest.readable {
-            events |= sys::EPOLLIN;
+            events |= sys::EPOLLIN | sys::EPOLLRDHUP;
         }
         if interest.writable {
             events |= sys::EPOLLOUT;

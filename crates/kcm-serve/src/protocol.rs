@@ -50,8 +50,14 @@
 //! the trailing period.
 //!
 //! A query without a `@name` runs against the connection's own
-//! `CONSULT`ed program (the single-host session mode); with one it runs
-//! against the shared program published under that name. `@` cannot
+//! `CONSULT`ed program (session mode: the paper's single host that
+//! downloads its program and queries it); with one it runs against the
+//! shared program published under that name. The server hosts both the
+//! same way — the consulted program is a tenant scoped to the
+//! connection, never entered in the registry — so the two differ only
+//! in who can address the program: the consulted one takes no registry
+//! slot, never evicts a published one, appears in `STATS` only through
+//! the `consults=` counter, and dies with its connection. `@` cannot
 //! begin a Prolog query term under the reader's grammar, so the form is
 //! unambiguous.
 //!
@@ -1235,6 +1241,199 @@ mod tests {
             Reply::Snapshot { bytes: Vec::new() },
         ] {
             assert_eq!(Reply::parse(reply.encode()).expect("parse"), reply);
+        }
+    }
+
+    /// Seeded wire property tests: generated requests, random read
+    /// slicing, and damaged frames.
+    mod wire_properties {
+        use super::*;
+        use kcm_testkit::{cases_seeded, charset, TestRng};
+
+        /// Base seed of every case below ("wire").
+        const SEED: u64 = 0x7769_7265;
+
+        fn name(rng: &mut TestRng) -> String {
+            let head = charset(&[('A', 'Z'), ('a', 'z'), ('_', '_')]);
+            let tail = charset(&[('A', 'Z'), ('a', 'z'), ('0', '9'), ('_', '_'), ('-', '-')]);
+            let mut name = rng.choose(&head).to_string();
+            name.push_str(&rng.string_from(&tail, 0, MAX_NAME));
+            name
+        }
+
+        fn count(rng: &mut TestRng) -> u64 {
+            match rng.below(4) {
+                0 => 1,
+                1 => u64::MAX,
+                _ => 1 + rng.below(u64::MAX - 1),
+            }
+        }
+
+        /// Free text built from random characters and the fragments the
+        /// grammar gives meaning to, so option words, `@` and newlines
+        /// land inside bodies and queries.
+        fn text(rng: &mut TestRng, min: usize) -> String {
+            const FRAGMENTS: [&str; 9] = [
+                "@", "BUDGET ", "CURSOR ", "SNAPSHOT", " ", "\n", "p(X)", "é", "中",
+            ];
+            let chars = charset(&[(' ', '~'), ('\n', '\n'), ('λ', 'λ')]);
+            let mut s = String::new();
+            while s.len() < min || rng.chance(2, 3) {
+                if rng.chance(1, 2) {
+                    s.push_str(rng.choose::<&str>(&FRAGMENTS));
+                } else {
+                    s.push_str(&rng.string_from(&chars, 1, 12));
+                }
+            }
+            s
+        }
+
+        /// Query text the encoder can carry: non-empty and not opening
+        /// with a word the parser reads as a tenant or an option.
+        fn query(rng: &mut TestRng) -> String {
+            let q = text(rng, 1);
+            if ["@", "BUDGET ", "CURSOR "].iter().any(|p| q.starts_with(p)) {
+                format!("q{q}")
+            } else {
+                q
+            }
+        }
+
+        fn request(rng: &mut TestRng) -> Request {
+            let budget = |rng: &mut TestRng| rng.chance(1, 2).then(|| count(rng));
+            match rng.below(12) {
+                0 => Request::Publish {
+                    name: name(rng),
+                    source: text(rng, 0),
+                    step_budget: budget(rng),
+                },
+                1 => Request::PublishSnapshot {
+                    name: name(rng),
+                    snapshot: rng.vec_of(0, 64, |r| r.next_u32() as u8),
+                    step_budget: budget(rng),
+                },
+                2 => Request::Snapshot { name: name(rng) },
+                3 => Request::Assert {
+                    name: name(rng),
+                    clause: text(rng, 1),
+                },
+                4 => Request::Retract {
+                    name: name(rng),
+                    clause: text(rng, 1),
+                },
+                5 => Request::Consult {
+                    source: text(rng, 0),
+                },
+                6 | 7 => {
+                    let enumerate_all = rng.chance(1, 2);
+                    Request::Query {
+                        tenant: rng.chance(1, 2).then(|| name(rng)),
+                        query: query(rng),
+                        enumerate_all,
+                        step_budget: budget(rng),
+                        cursor: !enumerate_all && rng.chance(1, 2),
+                    }
+                }
+                8 => Request::Next {
+                    id: rng.next_u64(),
+                    count: budget(rng),
+                },
+                9 => Request::Close { id: rng.next_u64() },
+                10 => Request::Stats,
+                _ => Request::Shutdown,
+            }
+        }
+
+        /// Every frame a fresh [`FrameBuf`] yields for `wire` fed in
+        /// pieces whose sizes `cut` picks, or its first error.
+        fn decode_sliced(
+            wire: &[u8],
+            rng: &mut TestRng,
+            mut cut: impl FnMut(&mut TestRng, usize) -> usize,
+        ) -> io::Result<Vec<Vec<u8>>> {
+            let mut fb = FrameBuf::new();
+            let mut frames = Vec::new();
+            let mut at = 0;
+            while at < wire.len() {
+                let end = at + cut(rng, wire.len() - at).clamp(1, wire.len() - at);
+                fb.feed(&wire[at..end]);
+                at = end;
+                while let Some(frame) = fb.next_frame()? {
+                    frames.push(frame);
+                }
+            }
+            Ok(frames)
+        }
+
+        #[test]
+        fn generated_requests_round_trip() {
+            cases_seeded(SEED, 4000, |rng| {
+                let req = request(rng);
+                assert_eq!(Request::parse(req.encode()), Ok(req));
+            });
+        }
+
+        #[test]
+        fn frames_decode_identically_under_any_read_slicing() {
+            cases_seeded(SEED + 1, 1000, |rng| {
+                let payloads: Vec<Vec<u8>> = rng.vec_of(1, 8, |r| request(r).encode());
+                let wire: Vec<u8> = payloads.iter().flat_map(encode_frame).collect();
+                let whole = decode_sliced(&wire, rng, |_, left| left).expect("whole");
+                assert_eq!(whole, payloads);
+                let sliced = decode_sliced(&wire, rng, |r, left| match r.below(3) {
+                    0 => 1,
+                    1 => r.usize_in(1, 8),
+                    _ => r.usize_in(1, left + 1),
+                })
+                .expect("sliced");
+                assert_eq!(sliced, whole);
+                for payload in &sliced {
+                    assert!(Request::parse(payload).is_ok());
+                }
+            });
+        }
+
+        #[test]
+        fn damaged_frames_and_requests_never_panic() {
+            cases_seeded(SEED + 2, 4000, |rng| {
+                let payloads: Vec<Vec<u8>> = rng.vec_of(1, 4, |r| request(r).encode());
+                let mut wire: Vec<u8> = payloads.iter().flat_map(encode_frame).collect();
+                let slices = |r: &mut TestRng, left: usize| r.usize_in(1, left + 1);
+                match rng.below(3) {
+                    0 => {
+                        for _ in 0..rng.usize_in(1, 5) {
+                            let at = rng.index(wire.len());
+                            wire[at] ^= 1 << rng.below(8);
+                        }
+                        let _ = decode_sliced(&wire, rng, slices);
+                    }
+                    1 => {
+                        // A cut stream decodes a prefix of its frames.
+                        wire.truncate(rng.index(wire.len()));
+                        let got = decode_sliced(&wire, rng, slices).expect("truncated");
+                        assert_eq!(got[..], payloads[..got.len()]);
+                    }
+                    _ => {
+                        let oversize = if rng.chance(1, 2) {
+                            format!("{}\n", MAX_FRAME as u64 + 1 + rng.below(1 << 40))
+                        } else {
+                            "9".repeat(MAX_LENGTH_LINE + 1 + rng.index(16))
+                        };
+                        wire.splice(0..0, oversize.into_bytes());
+                        assert!(decode_sliced(&wire, rng, slices).is_err());
+                    }
+                }
+                // Bit flips and truncations of bare payloads reach the
+                // command parser.
+                for mut payload in payloads {
+                    if !payload.is_empty() && rng.chance(1, 2) {
+                        let at = rng.index(payload.len());
+                        payload[at] ^= 1 << rng.below(8);
+                    }
+                    payload.truncate(rng.usize_in(0, payload.len() + 1));
+                    let _ = Request::parse(&payload);
+                }
+            });
         }
     }
 }

@@ -11,21 +11,24 @@
 //!   client dribbling a frame one byte per 100 ms costs a buffer slot,
 //!   not a thread — 10k idle connections cost ~0 threads;
 //! * a fixed set of **worker threads** executes queries as isolated
-//!   sessions ([`kcm_system::Program::query`]) pulled from one bounded
-//!   queue; the compiled [`kcm_system::Program`] travels to the worker as
-//!   a clone of its `Arc` handles, exactly as [`kcm_system::SessionPool`]
-//!   shares it, and the worker runs it under the server's machine
-//!   configuration. Completions come back over a channel plus a wake
+//!   sessions pulled from one bounded queue. Every query runs one
+//!   `Arc<`[`Published`]`>`'s program under the server's machine
+//!   configuration: a [`ProgramRegistry`] tenant for `QUERY @name`, else
+//!   the connection's `CONSULT`ed program — a `Published` never entered
+//!   in the registry, so it takes no slot, evicts no tenant and renders
+//!   no `tenant.` lines. Completions come back over a channel plus a wake
 //!   pipe byte; the loop also drains completions on every tick, so a lost
 //!   wake delays a reply by at most one tick;
 //! * the queue is a `sync_channel(queue_depth)`: when it is full the
 //!   loop answers `BUSY` immediately instead of queueing without bound —
 //!   backpressure is explicit and visible to clients. While a
-//!   connection's request is in flight its read interest is paused, so a
-//!   pipelining client is flow-controlled by TCP, not by server memory;
-//! * published programs live in a shared [`ProgramRegistry`]; `PUBLISH`
-//!   and `CONSULT` compile on the loop thread (compilation is brief and
-//!   amortized over every query that follows), queries run on workers;
+//!   connection's request is in flight or a reply of its is unflushed,
+//!   its reads (peer half-close included) and frame processing pause
+//!   until the completion or the draining writable event, so a client
+//!   that pipelines without reading is flow-controlled by TCP, not by
+//!   server memory;
+//! * `PUBLISH` and `CONSULT` compile on the loop thread (compilation is
+//!   brief and amortized over every query that follows);
 //! * **cursors** are suspended [`kcm_system::Solutions`] sessions owned
 //!   by the event loop, keyed by a server-global id that is never
 //!   reused. A `NEXT` ships the boxed session to a worker for one
@@ -44,12 +47,8 @@
 //! Shutdown is graceful and self-contained: `SHUTDOWN` is handled on the
 //! loop itself, which stops accepting, closes idle connections, lets
 //! in-flight requests finish and flush, then closes the queue so workers
-//! drain and exit. The previous thread-per-connection design had to wake
-//! its blocking accept loop by self-connecting to
-//! `listener.local_addr()` — the *unspecified* address
-//! (`0.0.0.0:<port>`) for typical binds, so the wake could fail and hang
-//! the drain. The readiness loop's timed wait is the flag-check tick
-//! that replaces it; no self-connect exists to go wrong.
+//! drain and exit. The loop's timed wait is the flag-check tick; there is
+//! no self-connect wake to fail on a `0.0.0.0` bind.
 
 use crate::poll::{Event, Interest, Poller};
 use crate::protocol::{encode_frame, render_batch, render_outcome, FrameBuf, Reply, Request};
@@ -117,6 +116,10 @@ pub struct ServeConfig {
     /// allowed per tenant; past the cap the tenant's requests answer
     /// `BUSY` while other tenants keep being served. `None` leaves
     /// tenants to contend for the shared queue.
+    ///
+    /// A connection's `CONSULT`ed program counts as a tenant here, but
+    /// never has more than one item in flight (the connection is busy
+    /// while a request is out): a cap ≥1 never refuses it; `Some(0)` does.
     pub tenant_inflight_cap: Option<u64>,
 }
 
@@ -223,20 +226,20 @@ impl ServeMetrics {
 
 /// One queued unit of work: everything a worker needs, plus the routing
 /// information for the reply. The `tenant` on each variant is the
-/// resolved registry entry, when the request named one: holding the
-/// `Arc` keeps the program alive across re-publish/eviction, the worker
-/// mirrors its accounting into the tenant's stats, and the in-flight
-/// slot claimed at dispatch is released against it.
+/// program the request resolved to — a registry entry for `@name`, the
+/// connection's consulted program otherwise. Holding the `Arc` keeps the
+/// program alive across re-publish, eviction or re-consult; the worker
+/// runs `tenant.program`, mirrors its accounting into the tenant's
+/// stats, and releases the in-flight slot claimed at dispatch.
 enum WorkItem {
     /// A one-shot query (first solution or enumerate-all), or with
     /// `cursor` set, a query compiled and suspended as that cursor.
     Query {
         /// Connection token (index + generation) the reply belongs to.
         token: u64,
-        program: Program,
         job: QueryJob,
         cursor: Option<u64>,
-        tenant: Option<Arc<Published>>,
+        tenant: Arc<Published>,
     },
     /// Pull up to `count` answers from a suspended session. The session
     /// travels by value: while it is here the loop's cursor entry holds
@@ -246,7 +249,7 @@ enum WorkItem {
         cursor_id: u64,
         session: Box<Solutions>,
         count: u64,
-        tenant: Option<Arc<Published>>,
+        tenant: Arc<Published>,
     },
 }
 
@@ -394,8 +397,8 @@ struct Conn {
     /// Pending reply bytes not yet accepted by the socket.
     wbuf: Vec<u8>,
     wpos: usize,
-    /// This connection's session-mode program (`CONSULT`), if any.
-    program: Option<Program>,
+    /// This connection's `CONSULT`ed program, if any; never registered.
+    program: Option<Arc<Published>>,
     /// A request is with the workers; reads are paused and no further
     /// frame is processed until its completion, preserving per-connection
     /// FIFO order.
@@ -412,9 +415,15 @@ impl Conn {
         self.wpos < self.wbuf.len()
     }
 
+    /// Whether the next buffered frame may be processed: no request is
+    /// with the workers and no reply is waiting for the socket.
+    fn ready_for_frame(&self) -> bool {
+        !self.busy && !self.pending_write()
+    }
+
     fn desired_interest(&self) -> Interest {
         Interest {
-            readable: !self.busy && !self.read_closed,
+            readable: self.ready_for_frame() && !self.read_closed,
             writable: self.pending_write(),
         }
     }
@@ -443,9 +452,10 @@ struct Cursor {
     /// by a request that passes the owner check — except through a
     /// closed-then-reused id, which the never-reused id space rules out.
     session: Option<Box<Solutions>>,
-    /// Pinned tenant entry (keeps the image alive across republish and
-    /// routes per-tenant accounting).
-    tenant: Option<Arc<Published>>,
+    /// Pinned program (a registry entry or the owner's consulted
+    /// program): keeps the image alive across republish or re-consult
+    /// and routes per-tenant accounting.
+    tenant: Arc<Published>,
     /// Last open/pull touch, for the idle reaper.
     last_used: Instant,
 }
@@ -578,9 +588,10 @@ impl EventLoop {
     }
 
     /// Returns a connection to its slot, refreshing its poller interest,
-    /// or closes it if `keep` is false.
+    /// or closes it if `keep` is false or it has read EOF and has nothing
+    /// left in flight or unflushed.
     fn park_conn(&mut self, index: usize, mut conn: Conn, keep: bool) {
-        if !keep {
+        if !keep || (conn.read_closed && conn.ready_for_frame()) {
             self.close_slot(index, &conn);
             return;
         }
@@ -643,10 +654,8 @@ impl EventLoop {
             keep = self.do_read(&mut conn, token);
         }
         if keep && ev.writable && conn.pending_write() {
-            keep = flush(&mut conn).is_ok();
-        }
-        if keep && conn.read_closed && !conn.busy && !conn.pending_write() {
-            keep = false;
+            // A drained reply unpauses the frames buffered behind it.
+            keep = flush(&mut conn).is_ok() && self.pump(&mut conn, token);
         }
         self.park_conn(index, conn, keep);
     }
@@ -676,9 +685,10 @@ impl EventLoop {
     }
 
     /// Processes buffered complete frames while the connection has no
-    /// request in flight. Returns whether the connection stays open.
+    /// request in flight and no unflushed reply. Returns whether the
+    /// connection stays open.
     fn pump(&mut self, conn: &mut Conn, token: u64) -> bool {
-        while !conn.busy {
+        while conn.ready_for_frame() {
             match conn.frames.next_frame() {
                 Ok(Some(payload)) => {
                     if !self.handle_frame(conn, token, &payload) {
@@ -714,13 +724,19 @@ impl EventLoop {
                 // wants idempotence, not accumulation).
                 match Program::load(source.as_str()) {
                     Ok(program) => {
-                        conn.program = Some(program);
+                        conn.program = Some(Arc::new(Published {
+                            name: String::new(),
+                            version: 1,
+                            program,
+                            step_budget: None,
+                            stats: Arc::default(),
+                        }));
                         self.shared.metrics.lock().expect("metrics").consults += 1;
                         Reply::Ok {
                             body: String::new(),
                         }
                     }
-                    Err(e) => error_reply(&e, &self.shared, None),
+                    Err(e) => error_reply(&e, &self.shared),
                 }
             }
             Request::Publish {
@@ -740,14 +756,14 @@ impl EventLoop {
             // never see a half-updated image.
             Request::Snapshot { name } => match self.shared.registry.snapshot(&name) {
                 Ok(bytes) => Reply::Snapshot { bytes },
-                Err(e) => error_reply(&e, &self.shared, None),
+                Err(e) => error_reply(&e, &self.shared),
             },
             Request::Assert { name, clause } => {
                 match self.shared.registry.assertz(&name, &clause) {
                     Ok(receipt) => Reply::Ok {
                         body: format!("name={name}\nversion={}\n", receipt.version),
                     },
-                    Err(e) => error_reply(&e, &self.shared, None),
+                    Err(e) => error_reply(&e, &self.shared),
                 }
             }
             Request::Retract { name, clause } => {
@@ -758,7 +774,7 @@ impl EventLoop {
                             receipt.version
                         ),
                     },
-                    Err(e) => error_reply(&e, &self.shared, None),
+                    Err(e) => error_reply(&e, &self.shared),
                 }
             }
             Request::Stats => {
@@ -835,60 +851,35 @@ impl EventLoop {
                 }
                 Reply::Ok { body }
             }
-            Err(e) => error_reply(&e, &self.shared, None),
+            Err(e) => error_reply(&e, &self.shared),
         }
     }
 
     /// Resolves the program a query addresses: the registry entry when a
-    /// tenant is named (with the budget priority request > tenant >
-    /// server default), the connection's consulted program otherwise.
-    fn resolve_program(
-        &self,
-        conn: &Conn,
-        tenant: Option<&str>,
-        step_budget: Option<u64>,
-    ) -> Result<Resolved, Reply> {
+    /// tenant is named, the connection's consulted program otherwise.
+    fn resolve_program(&self, conn: &Conn, tenant: Option<&str>) -> Result<Arc<Published>, Reply> {
         match tenant {
-            Some(name) => match self.shared.registry.lookup(name) {
-                Ok(t) => {
-                    let budget = step_budget
-                        .or(t.step_budget)
-                        .or(self.shared.cfg.default_step_budget);
-                    Ok(Resolved {
-                        program: t.program.clone(),
-                        tenant: Some(t),
-                        budget,
-                    })
-                }
-                Err(e) => Err(error_reply(&e, &self.shared, None)),
-            },
-            None => match &conn.program {
-                Some(program) => Ok(Resolved {
-                    program: program.clone(),
-                    tenant: None,
-                    budget: step_budget.or(self.shared.cfg.default_step_budget),
-                }),
-                None => Err(error_reply(&KcmError::NoProgram, &self.shared, None)),
-            },
+            Some(name) => self.shared.registry.lookup(name),
+            None => conn.program.clone().ok_or(KcmError::NoProgram),
         }
+        .map_err(|e| error_reply(&e, &self.shared))
     }
 
-    /// Claims a per-tenant in-flight slot for a resolved target (a no-op
-    /// `true` for connection-local programs). A `false` return has
-    /// already been accounted as a tenant BUSY.
-    fn claim_tenant(&self, tenant: &Option<Arc<Published>>) -> bool {
-        let Some(t) = tenant else { return true };
-        if t.stats
+    /// Claims a per-tenant in-flight slot. A `false` return has already
+    /// been accounted as a tenant BUSY.
+    fn claim_tenant(&self, tenant: &Published) -> bool {
+        if tenant
+            .stats
             .try_start_inflight(self.shared.cfg.tenant_inflight_cap)
         {
             return true;
         }
         self.shared.metrics.lock().expect("metrics").busy += 1;
-        t.stats.busy.fetch_add(1, Ordering::Relaxed);
+        tenant.stats.busy.fetch_add(1, Ordering::Relaxed);
         false
     }
 
-    /// Enqueues an item whose tenant slot (if any) is already claimed.
+    /// Enqueues an item whose tenant slot is already claimed.
     /// `None` means in flight; `Some` is an immediate reply, with the
     /// claim released and (for a pull) the session restored.
     fn enqueue(&mut self, conn: &mut Conn, item: WorkItem) -> Option<Reply> {
@@ -921,18 +912,15 @@ impl EventLoop {
                         tenant
                     }
                 };
-                release_tenant(&tenant);
+                tenant.stats.finish_inflight();
                 if full {
                     self.shared.metrics.lock().expect("metrics").busy += 1;
-                    if let Some(t) = &tenant {
-                        t.stats.busy.fetch_add(1, Ordering::Relaxed);
-                    }
+                    tenant.stats.busy.fetch_add(1, Ordering::Relaxed);
                     Some(Reply::Busy)
                 } else {
                     Some(error_reply(
                         &KcmError::Harness("server is shutting down".to_owned()),
                         &self.shared,
-                        None,
                     ))
                 }
             }
@@ -959,39 +947,40 @@ impl EventLoop {
             self.shared.metrics.lock().expect("metrics").busy += 1;
             return Some(Reply::Busy);
         }
-        let resolved = match self.resolve_program(conn, tenant.as_deref(), opts.step_budget) {
-            Ok(r) => r,
+        let tenant = match self.resolve_program(conn, tenant.as_deref()) {
+            Ok(t) => t,
             Err(reply) => return Some(reply),
         };
-        if !self.claim_tenant(&resolved.tenant) {
+        if !self.claim_tenant(&tenant) {
             return Some(Reply::Busy);
         }
-        opts.step_budget = resolved.budget;
+        // Budget priority: request > tenant > server default.
+        opts.step_budget = opts
+            .step_budget
+            .or(tenant.step_budget)
+            .or(self.shared.cfg.default_step_budget);
         let cursor = cursor.then(|| {
             self.next_cursor_id += 1;
             self.next_cursor_id - 1
         });
         let item = WorkItem::Query {
             token,
-            program: resolved.program,
             job: QueryJob::with_opts(query, opts),
             cursor,
-            tenant: resolved.tenant.clone(),
+            tenant: Arc::clone(&tenant),
         };
         let reply = self.enqueue(conn, item);
         if reply.is_none() {
+            self.shared.metrics.lock().expect("metrics").queries += 1;
+            tenant.stats.queries.fetch_add(1, Ordering::Relaxed);
             if let Some(id) = cursor {
                 let entry = Cursor {
                     owner: token,
                     session: None,
-                    tenant: resolved.tenant.clone(),
+                    tenant,
                     last_used: Instant::now(),
                 };
                 self.cursors.insert(id, entry);
-            }
-            self.shared.metrics.lock().expect("metrics").queries += 1;
-            if let Some(t) = &resolved.tenant {
-                t.stats.queries.fetch_add(1, Ordering::Relaxed);
             }
         }
         reply
@@ -1018,7 +1007,7 @@ impl EventLoop {
             return Some(Reply::Busy);
         };
         cursor.last_used = Instant::now();
-        let tenant = cursor.tenant.clone();
+        let tenant = Arc::clone(&cursor.tenant);
         if !self.claim_tenant(&tenant) {
             // Re-borrow: claim_tenant released the map borrow.
             if let Some(c) = self.cursors.get_mut(&id) {
@@ -1065,13 +1054,8 @@ impl EventLoop {
                 continue; // the connection went away; the work still counted
             };
             conn.busy = false;
-            let mut keep = queue_reply(&mut conn, &done.payload).is_ok();
-            if keep {
-                keep = self.pump(&mut conn, done.token);
-            }
-            if keep && conn.read_closed && !conn.busy && !conn.pending_write() {
-                keep = false;
-            }
+            let keep =
+                queue_reply(&mut conn, &done.payload).is_ok() && self.pump(&mut conn, done.token);
             self.park_conn(index, conn, keep);
         }
     }
@@ -1083,7 +1067,7 @@ impl EventLoop {
             let Some(conn) = self.slots[index].conn.take() else {
                 continue;
             };
-            if !conn.busy && !conn.pending_write() {
+            if conn.ready_for_frame() {
                 self.park_conn(index, conn, false);
             } else {
                 self.slots[index].conn = Some(conn);
@@ -1122,13 +1106,6 @@ fn flush(conn: &mut Conn) -> std::io::Result<()> {
     Ok(())
 }
 
-/// The program resolution a dispatch works from.
-struct Resolved {
-    program: Program,
-    tenant: Option<Arc<Published>>,
-    budget: Option<u64>,
-}
-
 /// The reply for a `NEXT`/`CLOSE` that doesn't address a live cursor the
 /// requester owns — one message for missing, closed, expired, and
 /// someone-else's ids alike.
@@ -1136,13 +1113,6 @@ fn unknown_cursor(id: u64) -> Reply {
     Reply::Err {
         class: "protocol".to_owned(),
         message: format!("unknown cursor {id}"),
-    }
-}
-
-/// Releases the per-tenant in-flight slot a dispatch claimed.
-fn release_tenant(tenant: &Option<Arc<Published>>) {
-    if let Some(t) = tenant {
-        t.stats.finish_inflight();
     }
 }
 
@@ -1161,12 +1131,11 @@ fn worker_loop(
         let done = match item {
             WorkItem::Query {
                 token,
-                program,
                 job,
                 cursor,
                 tenant,
             } => {
-                let tstats = tenant.as_ref().map(|t| t.stats.as_ref());
+                let (program, tstats) = (&tenant.program, &*tenant.stats);
                 let machine = &shared.cfg.machine;
                 let (reply, cursor) = match cursor {
                     None => match program.query(&job.query, machine, &job.opts) {
@@ -1175,7 +1144,7 @@ fn worker_loop(
                             let body = render_outcome(&outcome);
                             (Reply::Ok { body }, None)
                         }
-                        Err(e) => (error_reply(&e, shared, tstats), None),
+                        Err(e) => (tenant_error_reply(&e, shared, tstats), None),
                     },
                     Some(id) => {
                         let (reply, session) =
@@ -1185,12 +1154,12 @@ fn worker_loop(
                                     let body = format!("cursor={id}\n");
                                     (Reply::Ok { body }, Some(Box::new(session)))
                                 }
-                                Err(e) => (error_reply(&e, shared, tstats), None),
+                                Err(e) => (tenant_error_reply(&e, shared, tstats), None),
                             };
                         (reply, Some(CursorReturn { id, session }))
                     }
                 };
-                release_tenant(&tenant);
+                tstats.finish_inflight();
                 Completion {
                     token,
                     payload: reply.encode(),
@@ -1226,13 +1195,13 @@ fn worker_loop(
                 // slice that discovers exhaustion is still charged.
                 let batch_stats = session.totals().delta_since(&before_stats);
                 let batch_output = session.output()[before_output..].to_owned();
-                let tstats = tenant.as_ref().map(|t| t.stats.as_ref());
+                let tstats = &*tenant.stats;
                 let reply = match &failure {
                     // A slice error kills the cursor; answers pulled
                     // earlier in this batch die with it (the client
                     // never saw them, and the dead session cannot be
                     // resumed to re-derive them).
-                    Some(e) => error_reply(e, shared, tstats),
+                    Some(e) => tenant_error_reply(e, shared, tstats),
                     None => {
                         account_batch(shared, tstats, answers.len() as u64, &batch_stats);
                         Reply::Ok {
@@ -1247,7 +1216,7 @@ fn worker_loop(
                     }
                 };
                 let keep = failure.is_none() && !exhausted;
-                release_tenant(&tenant);
+                tstats.finish_inflight();
                 Completion {
                     token,
                     payload: reply.encode(),
@@ -1267,54 +1236,49 @@ fn worker_loop(
     }
 }
 
-/// Accounts one served cursor batch into the aggregate and per-tenant
-/// counters. Cursor batches count work (`solutions`, `inferences`,
-/// `cycles`, `steps`) like queries do, but under the `cursor_*` serving
-/// counters instead of `served`.
-fn account_batch(shared: &Shared, tenant: Option<&TenantStats>, answers: u64, stats: &RunStats) {
-    {
-        let mut m = shared.metrics.lock().expect("metrics");
-        m.cursor_batches += 1;
-        m.cursor_answers += answers;
-        m.solutions += answers;
-        m.inferences += stats.inferences;
-        m.cycles += stats.cycles;
-        m.steps += stats.instructions;
-    }
-    if let Some(t) = tenant {
-        t.solutions.fetch_add(answers, Ordering::Relaxed);
-        t.inferences.fetch_add(stats.inferences, Ordering::Relaxed);
-        t.cycles.fetch_add(stats.cycles, Ordering::Relaxed);
-        t.steps.fetch_add(stats.instructions, Ordering::Relaxed);
-    }
+/// Accounts one run's work into the aggregate counters (under their
+/// held lock) and the tenant's.
+fn account_work(m: &mut ServeMetrics, tenant: &TenantStats, solutions: u64, stats: &RunStats) {
+    m.solutions += solutions;
+    m.inferences += stats.inferences;
+    m.cycles += stats.cycles;
+    m.steps += stats.instructions;
+    tenant.solutions.fetch_add(solutions, Ordering::Relaxed);
+    tenant
+        .inferences
+        .fetch_add(stats.inferences, Ordering::Relaxed);
+    tenant.cycles.fetch_add(stats.cycles, Ordering::Relaxed);
+    tenant
+        .steps
+        .fetch_add(stats.instructions, Ordering::Relaxed);
 }
 
-fn account_served(shared: &Shared, tenant: Option<&TenantStats>, outcome: &Outcome) {
+/// Accounts one served cursor batch. Cursor batches count work like
+/// queries do, but under the `cursor_*` serving counters instead of
+/// `served`.
+fn account_batch(shared: &Shared, tenant: &TenantStats, answers: u64, stats: &RunStats) {
+    let mut m = shared.metrics.lock().expect("metrics");
+    m.cursor_batches += 1;
+    m.cursor_answers += answers;
+    account_work(&mut m, tenant, answers, stats);
+}
+
+fn account_served(shared: &Shared, tenant: &TenantStats, outcome: &Outcome) {
+    let mut m = shared.metrics.lock().expect("metrics");
+    m.served += 1;
+    m.switch_hits += outcome.profile.switches.hits;
+    m.switch_misses += outcome.profile.switches.misses;
+    m.switch_probes += outcome.profile.switches.probes;
+    m.switch_depth2 += outcome.profile.switches.depth2;
+    tenant.served.fetch_add(1, Ordering::Relaxed);
     let solutions = outcome.solutions.len() as u64;
-    {
-        let mut m = shared.metrics.lock().expect("metrics");
-        m.served += 1;
-        m.solutions += solutions;
-        m.inferences += outcome.stats.inferences;
-        m.cycles += outcome.stats.cycles;
-        m.steps += outcome.stats.instructions;
-        m.switch_hits += outcome.profile.switches.hits;
-        m.switch_misses += outcome.profile.switches.misses;
-        m.switch_probes += outcome.profile.switches.probes;
-        m.switch_depth2 += outcome.profile.switches.depth2;
-    }
-    if let Some(t) = tenant {
-        t.served.fetch_add(1, Ordering::Relaxed);
-        t.solutions.fetch_add(solutions, Ordering::Relaxed);
-        t.inferences
-            .fetch_add(outcome.stats.inferences, Ordering::Relaxed);
-        t.cycles.fetch_add(outcome.stats.cycles, Ordering::Relaxed);
-        t.steps
-            .fetch_add(outcome.stats.instructions, Ordering::Relaxed);
-    }
+    account_work(&mut m, tenant, solutions, &outcome.stats);
 }
 
-fn error_reply(e: &KcmError, shared: &Shared, tenant: Option<&TenantStats>) -> Reply {
+/// An error reply, accounted into the aggregate counters only: the
+/// loop-thread errors (publish, update, unknown tenant, no program) that
+/// ran no tenant's program.
+fn error_reply(e: &KcmError, shared: &Shared) -> Reply {
     let class = error_class(e);
     {
         let mut m = shared.metrics.lock().expect("metrics");
@@ -1324,17 +1288,20 @@ fn error_reply(e: &KcmError, shared: &Shared, tenant: Option<&TenantStats>) -> R
             m.errors += 1;
         }
     }
-    if let Some(t) = tenant {
-        if class == "budget" {
-            t.budget_stops.fetch_add(1, Ordering::Relaxed);
-        } else {
-            t.errors.fetch_add(1, Ordering::Relaxed);
-        }
-    }
     Reply::Err {
         class: class.to_owned(),
         message: e.to_string(),
     }
+}
+
+/// A worker's [`error_reply`], also accounted into the tenant's counters.
+fn tenant_error_reply(e: &KcmError, shared: &Shared, tenant: &TenantStats) -> Reply {
+    let counter = match error_class(e) {
+        "budget" => &tenant.budget_stops,
+        _ => &tenant.errors,
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+    error_reply(e, shared)
 }
 
 /// The full `STATS` body: the aggregate counters, the registry size, and

@@ -215,14 +215,48 @@ fn tenant_step_budget_caps_queries_and_request_budget_overrides() {
 fn tenant_and_session_modes_coexist_on_one_connection() {
     let _threads = shared_threads();
     // A connection can consult its own program and also query tenants;
-    // neither mode disturbs the other's state.
-    let (addr, server) = spawn_server(ServeConfig::default());
+    // neither mode disturbs the other's state. A one-slot registry and a
+    // one-item tenant cap pin that the consulted program is never a
+    // registry tenant: it neither evicts `kb` nor trips the cap.
+    let (addr, server) = spawn_server(ServeConfig {
+        max_programs: 1,
+        tenant_inflight_cap: Some(1),
+        ..ServeConfig::default()
+    });
     let mut client = Client::connect(addr).expect("connect");
     assert!(client
         .publish("kb", "t(shared).", None)
         .expect("publish")
         .is_ok());
-    assert!(client.consult("s(private).").expect("consult").is_ok());
+    assert!(client
+        .consult("s(private). s(second).")
+        .expect("consult")
+        .is_ok());
+
+    // The consult is counted, but it takes no registry slot and renders
+    // no tenant lines.
+    let stats = client.stats().expect("stats");
+    assert!(stats.contains("consults=1\n"), "{stats}");
+    assert!(stats.contains("programs=1\n"), "{stats}");
+    for line in stats.lines().filter(|l| l.starts_with("tenant.")) {
+        assert!(line.starts_with("tenant.kb."), "{line}\n{stats}");
+    }
+    let tenant = body_of(client.query_tenant("kb", "t(X)").expect("query"));
+    assert!(tenant.contains("X=shared"), "consult evicted kb: {tenant}");
+
+    // Session queries and session cursors are served under the cap.
+    let id = client
+        .open_cursor(None, "s(X)", None)
+        .expect("session cursor");
+    let batch = body_of(client.next(id, Some(2)).expect("next"));
+    assert!(
+        batch.starts_with(&format!("cursor={id} answers=2 ")),
+        "{batch}"
+    );
+    assert!(
+        batch.contains("X=private\n") && batch.contains("X=second\n"),
+        "{batch}"
+    );
 
     let session = body_of(client.query("s(X)").expect("query"));
     assert!(session.contains("X=private"), "{session}");
@@ -237,6 +271,9 @@ fn tenant_and_session_modes_coexist_on_one_connection() {
         Reply::Ok { body } => assert!(body.starts_with("success=false"), "{body}"),
         other => panic!("cross-mode query answered {other:?}"),
     }
+    let stats = client.stats().expect("stats");
+    assert!(stats.contains("programs=1\n"), "{stats}");
+    assert!(stats.contains("tenant.kb.served=3\n"), "{stats}");
     client.shutdown().expect("shutdown");
     server.join().expect("server thread").expect("run");
 }

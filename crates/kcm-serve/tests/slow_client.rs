@@ -11,11 +11,11 @@
 //! stream stays in sync for the next request.
 
 use kcm_serve::protocol::{read_frame, render_outcome};
-use kcm_serve::{Reply, ServeConfig, Server};
+use kcm_serve::{Client, Reply, ServeConfig, Server};
 use kcm_system::{Kcm, QueryOpts, Tier};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Comfortably longer than the server's 100ms wait tick, so every gap
 /// guarantees at least one tick fires mid-frame.
@@ -242,4 +242,111 @@ fn pipelined_frames_in_one_write_are_all_answered_in_order() {
     stream.write_all(&frame("SHUTDOWN")).expect("shutdown");
     assert!(read_reply(&mut reader).is_ok(), "shutdown");
     server.join().expect("server thread").expect("run");
+}
+
+/// CPU time (user + system) the named thread of this process has used,
+/// from `/proc/self/task/*/stat` at 100 ticks per second; `None` when no
+/// thread has that name (at most 15 bytes) or the files don't parse.
+fn thread_cpu(name: &str) -> Option<Duration> {
+    for task in std::fs::read_dir("/proc/self/task").ok()? {
+        let dir = task.ok()?.path();
+        if std::fs::read_to_string(dir.join("comm")).ok()?.trim_end() != name {
+            continue;
+        }
+        let stat = std::fs::read_to_string(dir.join("stat")).ok()?;
+        // Fields after the parenthesized name: state is [0], utime [11],
+        // stime [12].
+        let fields: Vec<&str> = stat.rsplit_once(')')?.1.split_whitespace().collect();
+        let ticks: u64 =
+            fields.get(11)?.parse::<u64>().ok()? + fields.get(12)?.parse::<u64>().ok()?;
+        return Some(Duration::from_millis(ticks * 10));
+    }
+    None
+}
+
+#[test]
+fn pipelined_requests_wait_while_their_replies_sit_unread() {
+    // The inverse of a slow writer: a client that pipelines requests,
+    // half-closes and never reads. While a reply is unflushed the server
+    // must neither read nor process that connection's later frames, so
+    // what it holds for the client is bounded by the kernel socket
+    // buffers, not by how much the client sends. Thirty-two SNAPSHOT
+    // replies of a 10^4-fact program (~1.5 MB each) overflow those buffers
+    // many times over; the PUBLISH queued behind them must not run -- a
+    // second connection's STATS shows no `marker` tenant -- until the
+    // client starts reading. The paused connection must not wake the
+    // loop meanwhile: its peer's half-close is a read-side event, and
+    // level-triggered it would spin the loop thread.
+    const SNAPSHOTS: usize = 32;
+    const LOOP_THREAD: &str = "paused-loop";
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let addr = server.local_addr().expect("local addr");
+    let server = std::thread::Builder::new()
+        .name(LOOP_THREAD.to_owned())
+        .spawn(move || server.run())
+        .expect("spawn loop");
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let kb: String = (0..10_000).map(|i| format!("f(k{i}, v{i}).\n")).collect();
+    stream
+        .write_all(&frame(&format!("PUBLISH kb\n{kb}")))
+        .expect("publish");
+    assert!(read_reply(&mut reader).is_ok(), "publish");
+    let mut batch = frame("SNAPSHOT @kb").repeat(SNAPSHOTS);
+    batch.extend_from_slice(&frame("PUBLISH marker\nm(1)."));
+    stream.write_all(&batch).expect("pipeline");
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+
+    let mut observer = Client::connect(addr).expect("connect observer");
+    std::thread::sleep(Duration::from_millis(300));
+    // Off Linux there is no per-thread CPU clock to read; skip that check.
+    let on_proc = std::path::Path::new("/proc/self/task").exists();
+    let cpu_before = on_proc.then(|| thread_cpu(LOOP_THREAD).expect("loop thread CPU"));
+    let deadline = Instant::now() + Duration::from_millis(1500);
+    while Instant::now() < deadline {
+        let stats = observer.stats().expect("stats");
+        assert!(
+            !stats.contains("tenant.marker."),
+            "the PUBLISH behind {SNAPSHOTS} unread replies ran: {stats}"
+        );
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    if let Some(before) = cpu_before {
+        let after = thread_cpu(LOOP_THREAD).expect("loop thread CPU");
+        assert!(
+            after - before < Duration::from_millis(300),
+            "the loop thread used {:?} of CPU in 1.5 s while waiting on the peer",
+            after - before
+        );
+    }
+
+    // Reading releases the backlog: every reply arrives, in order, and
+    // the server then closes the half-closed connection.
+    let mut first: Option<Vec<u8>> = None;
+    for i in 0..SNAPSHOTS {
+        match read_reply(&mut reader) {
+            Reply::Snapshot { bytes } => match &first {
+                Some(first) => assert!(bytes == *first, "snapshot {i} differs"),
+                None => {
+                    assert!(bytes.len() > 512 * 1024, "{} bytes", bytes.len());
+                    first = Some(bytes);
+                }
+            },
+            other => panic!("SNAPSHOT {i} answered {other:?}"),
+        }
+    }
+    match read_reply(&mut reader) {
+        Reply::Ok { body } => assert!(body.contains("name=marker"), "{body}"),
+        other => panic!("PUBLISH marker answered {other:?}"),
+    }
+    assert!(read_frame(&mut reader).expect("eof").is_none());
+    let stats = observer.stats().expect("stats");
+    assert!(stats.contains("tenant.marker.version=1\n"), "{stats}");
+
+    assert!(observer.shutdown().expect("shutdown").is_ok());
+    let metrics = server.join().expect("server thread").expect("run");
+    assert_eq!(metrics.publishes, 2);
 }
